@@ -16,7 +16,9 @@ Run with ``--benchmark-disable`` for a fast functional smoke of the perf code
 paths; run ``scripts/bench_report.py`` to refresh ``BENCH_shedding.json``.
 """
 
+import gc
 import os
+import statistics
 
 import pytest
 
@@ -52,18 +54,19 @@ ESTIMATOR_SPEEDUP_FLOOR = 10.0
 GENERATION_SPEEDUP_FLOOR = 5.0
 WINDOW_SPEEDUP_FLOOR = 4.0
 END_TO_END_SPEEDUP_FLOOR = 1.25
-# Columnar v2 floors: numpy backend vs the list-backed fast path on identical
-# paper-scale workloads (observed: window ~4-5x, aggregation ~5-7x, v2
-# end-to-end macro ~2-2.5x on the recording machine — see the columnar_v2
-# section of BENCH_shedding.json).
+# Columnar v2 floors: NumPy column kernels vs the per-tuple path on identical
+# paper-scale workloads (the same blocks inserted per tuple, Average over
+# per-tuple panes, and the columnar=False macro run) — see the columnar_v2
+# section of BENCH_shedding.json for the observed ratios.
 WINDOW_V2_SPEEDUP_FLOOR = 3.0
 AGGREGATE_V2_SPEEDUP_FLOOR = 3.0
 END_TO_END_V2_SPEEDUP_FLOOR = 1.3
 # Fused fragment execution: the plan compiler's single-pass prefix vs staged
 # v2 dispatch on the identical paper-scale macro scenario (observed ~1.55-1.6x
 # on the recording machine — see the `fused` section of BENCH_shedding.json).
-# The 1.5x floor is the PR's acceptance criterion; both sides are best-of-3
-# because the margin over the floor is the thinnest of the suite.
+# The 1.5x floor is the plan compiler's acceptance criterion; the margin over
+# the floor is the thinnest of the suite, so the gate uses the most
+# interleaved pairs.
 FUSED_END_TO_END_SPEEDUP_FLOOR = 1.5
 # The discrete-event runtime must stay within 10% of the lockstep loop end
 # to end (ISSUE 3 acceptance criterion; observed ~5-7% on the recording
@@ -81,6 +84,12 @@ RELIABILITY_OVERHEAD_CEILING = 0.10
 # and the ratio is the pure cost of stamping batches and updating ledger
 # lanes — see the `faults` section of BENCH_shedding.json).
 RESULT_ACCOUNTING_OVERHEAD_CEILING = 0.10
+# Interleaved pairs for the gates whose margin is thinnest: the fused 1.5x
+# floor and the three 10% overhead ceilings.  On a loaded 2-CPU machine one
+# event/lockstep pair reads anywhere from 0.8x to 1.2x around a true ratio of
+# ~1.0x, so a median of 5 pairs still crosses a 10% ceiling now and then;
+# the median of 11 holds it.
+THIN_MARGIN_PAIRS = 11
 # Checkpoint + restore of a 10⁵-tuple window must stay within this factor of
 # *building* the same window state through the columnar pipeline (ISSUE 4;
 # observed ~1.0× on the recording machine — the serialised round-trip costs
@@ -108,6 +117,32 @@ skip_perf_asserts = pytest.mark.skipif(
 def best_of(n, func, **kwargs):
     """Best-of-``n`` timing: robust against scheduler noise in assertions."""
     return min(func(**kwargs) for _ in range(n))
+
+
+def interleaved_speedup(slow, fast, pairs=5):
+    """Median per-pair ``slow / fast`` ratio over ``pairs`` ABAB… runs.
+
+    ``slow`` and ``fast`` are zero-argument callables returning seconds.
+    Alternating them exposes both runs of a pair to nearly the same machine
+    state (clock frequency, cache, neighbouring load), and the median
+    discards the odd pair a load spike lands on — where a best-of-N per side
+    compares two minima taken at different moments.  Every run starts from
+    a collected heap, so the garbage one side leaves behind is never
+    collected on the other side's clock.  Returns ``(ratio, slow_s,
+    fast_s)`` with the sides' median timings for the failure message.
+    """
+    assert pairs >= 5
+
+    def timed(func):
+        gc.collect()
+        return func()
+
+    slow_s, fast_s = [], []
+    for _ in range(pairs):
+        slow_s.append(timed(slow))
+        fast_s.append(timed(fast))
+    ratio = statistics.median(s / f for s, f in zip(slow_s, fast_s))
+    return ratio, statistics.median(slow_s), statistics.median(fast_s)
 
 
 class TestSelectionBenchmarks:
@@ -204,11 +239,11 @@ class TestColumnarBenchmarks:
 
 
 class TestColumnarV2Benchmarks:
-    """NumPy-backed ColumnBlock v2 kernels vs the list-backed fast path.
+    """NumPy-backed ColumnBlock v2 kernels vs the per-tuple path.
 
-    Both sides run the identical code on the identical workload — only the
-    column storage differs — and are bit-exact result-identical, so the
-    ratios are pure representation speedups.
+    Both sides process the identical rows and are bit-exact result-identical
+    (the differential suites assert it), so the ratios are pure
+    representation speedups.
     """
 
     def test_window_insert_v2(self, benchmark):
@@ -222,57 +257,43 @@ class TestColumnarV2Benchmarks:
         assert seconds > 0
 
     @skip_perf_asserts
-    def test_window_v2_speedup_vs_list_backend(self):
-        numpy_s = best_of(3, time_window_insert_v2, backend="numpy")
-        list_s = best_of(3, time_window_insert_v2, backend="list")
-        speedup = list_s / numpy_s
+    def test_window_v2_speedup_vs_per_tuple(self):
+        speedup, per_tuple_s, numpy_s = interleaved_speedup(
+            lambda: time_window_insert_v2(per_tuple=True), time_window_insert_v2
+        )
         assert speedup >= WINDOW_V2_SPEEDUP_FLOOR, (
             f"columnar v2 window bucketing regressed: only {speedup:.1f}x "
-            f"over the list backend (floor {WINDOW_V2_SPEEDUP_FLOOR}x); "
-            f"numpy={numpy_s * 1e3:.1f} ms list={list_s * 1e3:.1f} ms"
+            f"over per-tuple insertion (floor {WINDOW_V2_SPEEDUP_FLOOR}x); "
+            f"numpy={numpy_s * 1e3:.1f} ms per-tuple={per_tuple_s * 1e3:.1f} ms"
         )
 
     @skip_perf_asserts
-    def test_aggregate_v2_speedup_vs_list_backend(self):
-        numpy_s = best_of(3, time_aggregate_v2, backend="numpy")
-        list_s = best_of(3, time_aggregate_v2, backend="list")
-        speedup = list_s / numpy_s
+    def test_aggregate_v2_speedup_vs_per_tuple(self):
+        speedup, per_tuple_s, numpy_s = interleaved_speedup(
+            lambda: time_aggregate_v2(per_tuple=True), time_aggregate_v2
+        )
         assert speedup >= AGGREGATE_V2_SPEEDUP_FLOOR, (
             f"columnar v2 aggregation regressed: only {speedup:.1f}x over "
-            f"the list backend (floor {AGGREGATE_V2_SPEEDUP_FLOOR}x); "
-            f"numpy={numpy_s * 1e3:.1f} ms list={list_s * 1e3:.1f} ms"
+            f"per-tuple panes (floor {AGGREGATE_V2_SPEEDUP_FLOOR}x); "
+            f"numpy={numpy_s * 1e3:.1f} ms per-tuple={per_tuple_s * 1e3:.1f} ms"
         )
 
     @skip_perf_asserts
-    def test_end_to_end_v2_speedup_vs_list_backend(self):
-        numpy_s = best_of(2, time_end_to_end_v2, backend="numpy")
-        list_s = best_of(2, time_end_to_end_v2, backend="list")
-        speedup = list_s / numpy_s
+    def test_end_to_end_v2_speedup_vs_per_tuple(self):
+        speedup, per_tuple_s, numpy_s = interleaved_speedup(
+            lambda: time_end_to_end_v2(per_tuple=True), time_end_to_end_v2
+        )
         assert speedup >= END_TO_END_V2_SPEEDUP_FLOOR, (
             f"columnar v2 end-to-end macro regressed: only {speedup:.2f}x "
-            f"over the list backend (floor {END_TO_END_V2_SPEEDUP_FLOOR}x); "
-            f"numpy={numpy_s * 1e3:.0f} ms list={list_s * 1e3:.0f} ms"
+            f"over the per-tuple pipeline (floor {END_TO_END_V2_SPEEDUP_FLOOR}x); "
+            f"numpy={numpy_s * 1e3:.0f} ms per-tuple={per_tuple_s * 1e3:.0f} ms"
         )
-
-    def test_backend_result_identical(self):
-        """Same seeds -> numpy- and list-backed runs reproduce each other
-        exactly (scaled-down overload scenario, both backends forced)."""
-        _, numpy_run = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy",
-        )
-        _, list_run = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="list",
-        )
-        assert numpy_run.per_query_sic == list_run.per_query_sic
-        assert numpy_run.result_values == list_run.result_values
 
 
 class TestFusedBenchmarks:
     """Fused fragment execution vs staged v2 dispatch (identical paper-scale
-    scenario on the numpy backend; results are bit-exact identical, so the
-    ratio is pure per-tick dispatch cost removed by the plan compiler)."""
+    columnar scenario; results are bit-exact identical, so the ratio is pure
+    per-tick dispatch cost removed by the plan compiler)."""
 
     def test_fused_end_to_end(self, benchmark):
         seconds = benchmark.pedantic(
@@ -283,9 +304,11 @@ class TestFusedBenchmarks:
 
     @skip_perf_asserts
     def test_fused_speedup_vs_staged(self):
-        fused = best_of(3, time_end_to_end_fused, fusion="on")
-        staged = best_of(3, time_end_to_end_fused, fusion="off")
-        speedup = staged / fused
+        speedup, staged, fused = interleaved_speedup(
+            lambda: time_end_to_end_fused(fusion="off"),
+            lambda: time_end_to_end_fused(fusion="on"),
+            pairs=THIN_MARGIN_PAIRS,
+        )
         assert speedup >= FUSED_END_TO_END_SPEEDUP_FLOOR, (
             f"fused fragment execution regressed: only {speedup:.2f}x over "
             f"staged v2 (floor {FUSED_END_TO_END_SPEEDUP_FLOOR}x); "
@@ -294,14 +317,12 @@ class TestFusedBenchmarks:
 
     def test_fused_result_identical(self):
         """Same seeds -> the fused run reproduces the staged run exactly
-        (scaled-down overload scenario, numpy backend both sides)."""
+        (scaled-down overload scenario)."""
         _, fused = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy", fusion="on",
+            num_queries=10, rate=200.0, duration_seconds=3.0, fusion="on",
         )
         _, staged = run_end_to_end(
-            num_queries=10, rate=200.0, duration_seconds=3.0,
-            columnar_backend="numpy", fusion="off",
+            num_queries=10, rate=200.0, duration_seconds=3.0, fusion="off",
         )
         assert fused.per_query_sic == staged.per_query_sic
         assert fused.result_values == staged.result_values
@@ -373,9 +394,12 @@ class TestRuntimeBenchmarks:
 
     @skip_perf_asserts
     def test_event_runtime_overhead_within_budget(self):
-        event = best_of(2, time_runtime)
-        lockstep = best_of(2, time_runtime, use_lockstep=True)
-        overhead = event / lockstep - 1.0
+        ratio, event, lockstep = interleaved_speedup(
+            time_runtime,
+            lambda: time_runtime(use_lockstep=True),
+            pairs=THIN_MARGIN_PAIRS,
+        )
+        overhead = ratio - 1.0
         assert overhead <= RUNTIME_OVERHEAD_CEILING, (
             f"event runtime overhead {overhead * 100:.1f}% exceeds the "
             f"{RUNTIME_OVERHEAD_CEILING * 100:.0f}% budget vs lockstep; "
@@ -407,9 +431,12 @@ class TestReliabilityBenchmarks:
 
     @skip_perf_asserts
     def test_reliability_overhead_within_budget(self):
-        off = best_of(2, time_reliability, reliable=False)
-        on = best_of(2, time_reliability, reliable=True)
-        overhead = on / off - 1.0
+        ratio, on, off = interleaved_speedup(
+            lambda: time_reliability(reliable=True),
+            lambda: time_reliability(reliable=False),
+            pairs=THIN_MARGIN_PAIRS,
+        )
+        overhead = ratio - 1.0
         assert overhead <= RELIABILITY_OVERHEAD_CEILING, (
             f"reliable delivery overhead {overhead * 100:.1f}% exceeds the "
             f"{RELIABILITY_OVERHEAD_CEILING * 100:.0f}% budget on a loss-free "
@@ -446,9 +473,12 @@ class TestResultAccountingBenchmarks:
 
     @skip_perf_asserts
     def test_result_accounting_overhead_within_budget(self):
-        off = best_of(2, time_result_accounting, accounting=False)
-        on = best_of(2, time_result_accounting, accounting=True)
-        overhead = on / off - 1.0
+        ratio, on, off = interleaved_speedup(
+            lambda: time_result_accounting(accounting=True),
+            lambda: time_result_accounting(accounting=False),
+            pairs=THIN_MARGIN_PAIRS,
+        )
+        overhead = ratio - 1.0
         assert overhead <= RESULT_ACCOUNTING_OVERHEAD_CEILING, (
             f"exactly-once accounting overhead {overhead * 100:.1f}% exceeds "
             f"the {RESULT_ACCOUNTING_OVERHEAD_CEILING * 100:.0f}% budget on a "
@@ -493,9 +523,11 @@ class TestShardedBenchmarks:
 
     @skip_perf_asserts
     def test_inline_merge_overhead_within_budget(self):
-        event = min(time_sharded("event")[0] for _ in range(2))
-        inline = min(time_sharded("inline")[0] for _ in range(2))
-        overhead = inline / event - 1.0
+        ratio, inline, event = interleaved_speedup(
+            lambda: time_sharded("inline")[0],
+            lambda: time_sharded("event")[0],
+        )
+        overhead = ratio - 1.0
         assert overhead <= SHARDED_INLINE_OVERHEAD_CEILING, (
             f"inline shard overhead {overhead * 100:.1f}% exceeds the "
             f"{SHARDED_INLINE_OVERHEAD_CEILING * 100:.0f}% budget vs the "

@@ -1,9 +1,9 @@
-"""Setuptools shim.
+"""Package metadata and install requirements (the project has no
+``pyproject.toml``; this file is the single source).
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-so the package can also be installed in environments whose tooling predates
-PEP 660 editable installs (e.g. ``python setup.py develop`` in offline
-environments without the ``wheel`` package).
+``pip install -e .`` or ``python setup.py develop`` installs the ``repro``
+package from ``src/``; NumPy is a hard requirement (the columnar pipeline
+stores every column as an ndarray).
 """
 
 from setuptools import find_packages, setup

@@ -8,34 +8,23 @@ SIC assignment, shedding and window bucketing — exchanges
 :class:`ColumnBlock`s instead: a timestamp column, a SIC column and one column
 per payload field, all of the same length.
 
-Backends (columnar v2)
-----------------------
+Storage
+-------
 
-A block's columns are stored in one of two representations:
-
-* ``"numpy"`` (default when NumPy is importable) — ``timestamps`` and
-  ``sics`` are contiguous ``float64`` ndarrays; payload columns are
-  ``float64`` ndarrays when every value is a Python float and ``object``
-  ndarrays otherwise.  Slicing is an O(1) zero-copy view, concatenation is
-  one ``np.concatenate`` per column, and every kernel that consumes blocks
-  (SIC stamping, batch splitting, window bucketing, aggregation) runs as
-  element-wise array ops.
-* ``"list"`` — plain Python lists, byte-for-byte the pre-v2 implementation,
-  kept as the equivalence oracle and as the fallback when NumPy is absent.
+``timestamps`` and ``sics`` are contiguous ``float64`` ndarrays; payload
+columns are ``float64`` ndarrays when every value is a Python float and
+``object`` ndarrays otherwise.  Slicing is an O(1) zero-copy view,
+concatenation is one ``np.concatenate`` per column, and every kernel that
+consumes blocks (SIC stamping, batch splitting, window bucketing,
+aggregation) runs as element-wise array ops.
 
 **Determinism rule:** every reduction over columns goes through
 *sequential-order* primitives — :func:`seq_sum` folds left-to-right via
 ``np.cumsum`` (whose last element reproduces the exact additions of a Python
 ``for`` loop), never ``np.sum`` (pairwise summation, different rounding).
 Stable orderings use ``np.argsort(kind="stable")``.  Seeded runs are therefore
-**bit-exact result-identical** across the two backends and against the seed
-per-tuple pipeline (the differential suites assert it).
-
-The active backend is a process-wide setting (``set_default_backend`` /
-``use_backend``); :class:`repro.simulation.config.SimulationConfig` exposes it
-as ``columnar_backend`` and the simulator scopes it around each run.  The
-``REPRO_COLUMNAR_BACKEND`` environment variable overrides the import-time
-default (used by the CI leg that runs the whole suite list-backed).
+**bit-exact result-identical** against the seed per-tuple pipeline
+(``SimulationConfig.columnar=False``; the differential suites assert it).
 
 A block is *lazily* convertible to the per-tuple representation
 (:meth:`ColumnBlock.to_tuples`), which is the compatibility surface for
@@ -52,30 +41,18 @@ pane and its consumers, materialized tuples must be treated as read-only.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from .tuples import SMALL_COLUMN, Tuple, seq_sum
-
-try:  # NumPy is an install requirement, but the list backend works without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 __all__ = [
     "ColumnBlock",
     "ColumnAppender",
-    "BACKENDS",
-    "get_default_backend",
-    "set_default_backend",
-    "use_backend",
     "seq_sum",
     "SMALL_COLUMN",
-    "to_pylist",
 ]
-
-BACKENDS = ("numpy", "list")
 
 # Materialization accounting: every `_build_tuples` call bumps the default
 # perf registry's `columns.materializations` / `columns.materialized_rows`
@@ -95,106 +72,42 @@ def _count_materialization(rows: int) -> None:
     registry.incr("columns.materializations")
     registry.incr("columns.materialized_rows", rows)
 
-_backend = os.environ.get(
-    "REPRO_COLUMNAR_BACKEND", "numpy" if np is not None else "list"
-)
-if _backend not in BACKENDS:  # pragma: no cover - defensive env handling
-    raise ValueError(
-        f"REPRO_COLUMNAR_BACKEND must be one of {BACKENDS}, got {_backend!r}"
-    )
-if _backend == "numpy" and np is None:  # pragma: no cover - stripped installs
-    raise RuntimeError(
-        "REPRO_COLUMNAR_BACKEND=numpy but numpy is not importable; "
-        "unset it or use REPRO_COLUMNAR_BACKEND=list"
-    )
-
-
-def get_default_backend() -> str:
-    """Return the process-wide columnar backend (``"numpy"`` or ``"list"``)."""
-    return _backend
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide columnar backend for newly-built blocks."""
-    global _backend
-    if name not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")
-    if name == "numpy" and np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    _backend = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Scope the columnar backend to a ``with`` block (run isolation)."""
-    previous = get_default_backend()
-    set_default_backend(name)
-    try:
-        yield
-    finally:
-        set_default_backend(previous)
-
-
-def to_pylist(column) -> List[Any]:
-    """Column as a plain list of Python scalars (exact for ``float64``).
-
-    The row-building discipline for operators whose outputs carry payload
-    *values* taken from columns: convert the column once so emitted payload
-    dicts hold the identical Python objects on both backends (reading rows
-    straight off an ndarray would leak ``np.float64`` scalars into results).
-    """
-    if np is not None and isinstance(column, np.ndarray):
-        return column.tolist()
-    return list(column)
-
-
-_tolist = to_pylist
-
 
 def _float_column(column):
-    """Normalize a timestamp/SIC column to the active backend."""
-    if _backend == "numpy":
-        if isinstance(column, np.ndarray):
-            return column if column.dtype == np.float64 else column.astype(np.float64)
-        return np.asarray(column, dtype=np.float64)
-    if np is not None and isinstance(column, np.ndarray):
-        return column.tolist()
-    return column
+    """Normalize a timestamp/SIC column to a ``float64`` array."""
+    if isinstance(column, np.ndarray):
+        return column if column.dtype == np.float64 else column.astype(np.float64)
+    return np.asarray(column, dtype=np.float64)
 
 
 def _payload_column(column):
-    """Normalize one payload column to the active backend.
+    """Normalize one payload column to an ndarray.
 
-    Under the numpy backend a column whose values are all Python floats
-    becomes a ``float64`` array (exact: float64 round-trips the values bit
-    for bit); anything else — identifiers, mixed types, ints (kept as ints),
-    nested structures — becomes an ``object`` array holding the original
-    Python objects, so ``to_tuples`` reproduces them identically.
+    A column whose values are all Python floats becomes a ``float64`` array
+    (exact: float64 round-trips the values bit for bit); anything else —
+    identifiers, mixed types, ints (kept as ints), nested structures —
+    becomes an ``object`` array holding the original Python objects, so
+    ``to_tuples`` reproduces them identically.
     """
-    if _backend == "numpy":
-        if isinstance(column, np.ndarray):
-            return column
-        if not isinstance(column, list):
-            column = list(column)
-        if column and all(type(v) is float for v in column):
-            return np.asarray(column, dtype=np.float64)
-        arr = np.empty(len(column), dtype=object)
-        for i, value in enumerate(column):
-            arr[i] = value
-        return arr
-    if np is not None and isinstance(column, np.ndarray):
-        return column.tolist()
-    return column
+    if isinstance(column, np.ndarray):
+        return column
+    if not isinstance(column, list):
+        column = list(column)
+    if column and all(type(v) is float for v in column):
+        return np.asarray(column, dtype=np.float64)
+    arr = np.empty(len(column), dtype=object)
+    for i, value in enumerate(column):
+        arr[i] = value
+    return arr
 
 
 class ColumnBlock:
     """A group of stream tuples stored as parallel columns.
 
     Attributes:
-        timestamps: per-tuple logical creation times (``float64`` array on
-            the numpy backend, list on the list backend).
-        sics: per-tuple source information content values (same container
-            kind as ``timestamps``).
+        timestamps: per-tuple logical creation times (``float64`` array).
+        sics: per-tuple source information content values (``float64``
+            array).
         values: payload columns keyed by field name; every column has the
             same length as ``timestamps``.  Field order is the payload dict
             order of the equivalent per-tuple representation.
@@ -219,12 +132,7 @@ class ColumnBlock:
     ) -> None:
         self._timestamps = _float_column(timestamps)
         n = len(self._timestamps)
-        if sics is None:
-            self._sics = (
-                np.zeros(n) if _backend == "numpy" else [0.0] * n
-            )
-        else:
-            self._sics = _float_column(sics)
+        self._sics = np.zeros(n) if sics is None else _float_column(sics)
         self._values = (
             {f: _payload_column(col) for f, col in values.items()}
             if values
@@ -270,16 +178,9 @@ class ColumnBlock:
         self._values = columns
         self._tuple_cache = None
 
-    @property
-    def is_array_backed(self) -> bool:
-        """True when this block's columns are NumPy arrays."""
-        return np is not None and isinstance(self._timestamps, np.ndarray)
-
     def constant_sics(self, value: float):
-        """A constant SIC column matching this block's backing and length."""
-        if self.is_array_backed:
-            return np.full(len(self._timestamps), value)
-        return [value] * len(self._timestamps)
+        """A constant SIC column matching this block's length."""
+        return np.full(len(self._timestamps), value)
 
     # ------------------------------------------------------------- inspection
     def __len__(self) -> int:
@@ -300,9 +201,7 @@ class ColumnBlock:
 
     def sic_total(self) -> float:
         """Summed SIC of the block (left-to-right, like ``sum`` over tuples)."""
-        if self.is_array_backed:
-            return seq_sum(self._sics)
-        return sum(self._sics)
+        return seq_sum(self._sics)
 
     @classmethod
     def _unchecked(
@@ -343,9 +242,8 @@ class ColumnBlock:
     def slice(self, start: int, stop: int) -> "ColumnBlock":
         """Return a new block over rows ``start:stop``.
 
-        On the numpy backend the piece's columns are O(1) zero-copy *views*
-        of this block's arrays (safe because columns are rebind-only); on the
-        list backend they are copied slices, exactly as before v2.
+        The piece's columns are O(1) zero-copy *views* of this block's
+        arrays (safe because columns are rebind-only).
         """
         return ColumnBlock._unchecked(
             self._timestamps[start:stop],
@@ -361,7 +259,7 @@ class ColumnBlock:
         the seed paths built them.
 
         Array columns convert through ``ndarray.tolist()``, which yields the
-        identical Python scalars the list backend carries.  Full-block
+        identical Python scalars the per-tuple pipeline carries.  Full-block
         materializations are memoized (and invalidated when a column is
         rebound); ranges of a memoized block slice the cache.  Tuples may
         therefore be shared between repeated materializations — callers must
@@ -394,8 +292,8 @@ class ColumnBlock:
         if ranged:
             timestamps = timestamps[start:stop]
             sics = sics[start:stop]
-        timestamps = _tolist(timestamps)
-        sics = _tolist(sics)
+        timestamps = timestamps.tolist()
+        sics = sics.tolist()
         _count_materialization(len(timestamps))
         fields = list(self._values)
         if not fields:
@@ -408,15 +306,13 @@ class ColumnBlock:
             column = self._values[name]
             if ranged:
                 column = column[start:stop]
-            column = _tolist(column)
+            column = column.tolist()
             return [
                 Tuple(timestamp=t, sic=s, values={name: v}, source_id=source_id)
                 for t, s, v in zip(timestamps, sics, column)
             ]
         columns = [
-            _tolist(
-                self._values[name][start:stop] if ranged else self._values[name]
-            )
+            (self._values[name][start:stop] if ranged else self._values[name]).tolist()
             for name in fields
         ]
         return [
@@ -470,8 +366,8 @@ class ColumnBlock:
 
         This is the pane-close path: ranges routed into a window pane are
         merged directly from their source blocks, so a tuple's columns are
-        copied exactly once between source generation and the operator.  On
-        the numpy backend the merge is one ``np.concatenate`` per column.
+        copied exactly once between source generation and the operator: the
+        merge is one ``np.concatenate`` per column.
         Uniform field sets required; ``source_id`` survives only when shared.
         """
         if len(ranges) == 1:
@@ -489,25 +385,12 @@ class ColumnBlock:
                 )
         source_ids = {block.source_id for block, _, _ in ranges}
         source_id = source_ids.pop() if len(source_ids) == 1 else None
-        if np is not None and all(b.is_array_backed for b, _, _ in ranges):
-            timestamps = np.concatenate(
-                [b._timestamps[lo:hi] for b, lo, hi in ranges]
-            )
-            sics = np.concatenate([b._sics[lo:hi] for b, lo, hi in ranges])
-            values = {
-                f: np.concatenate([b._values[f][lo:hi] for b, lo, hi in ranges])
-                for f in fields
-            }
-            return ColumnBlock._unchecked(timestamps, sics, values, source_id)
-        timestamps: List[float] = []
-        sics: List[float] = []
-        values: Dict[str, List[Any]] = {f: [] for f in fields}
-        for block, start, stop in ranges:
-            timestamps.extend(_tolist(block._timestamps[start:stop]))
-            sics.extend(_tolist(block._sics[start:stop]))
-            block_values = block._values
-            for f in fields:
-                values[f].extend(_tolist(block_values[f][start:stop]))
+        timestamps = np.concatenate([b._timestamps[lo:hi] for b, lo, hi in ranges])
+        sics = np.concatenate([b._sics[lo:hi] for b, lo, hi in ranges])
+        values = {
+            f: np.concatenate([b._values[f][lo:hi] for b, lo, hi in ranges])
+            for f in fields
+        }
         return ColumnBlock._unchecked(timestamps, sics, values, source_id)
 
     @staticmethod
@@ -521,18 +404,11 @@ class ColumnBlock:
             return ColumnBlock([], [], {})
         if len(blocks) == 1:
             b = blocks[0]
-            if b.is_array_backed:
-                return ColumnBlock._unchecked(
-                    b._timestamps.copy(),
-                    b._sics.copy(),
-                    {f: col.copy() for f, col in b._values.items()},
-                    b.source_id,
-                )
-            return ColumnBlock(
-                timestamps=list(b._timestamps),
-                sics=list(b._sics),
-                values={f: list(col) for f, col in b._values.items()},
-                source_id=b.source_id,
+            return ColumnBlock._unchecked(
+                b._timestamps.copy(),
+                b._sics.copy(),
+                {f: col.copy() for f, col in b._values.items()},
+                b.source_id,
             )
         return ColumnBlock.concat_ranges([(b, 0, len(b)) for b in blocks])
 
@@ -556,10 +432,10 @@ class ColumnAppender:
     (the appender never touches it).  The first range is held lazily so the
     ubiquitous one-block pane keeps the zero-copy view fast path.
 
-    Only uniform array-backed input is supported: :meth:`append_range`
-    returns ``False`` — and the caller must abandon the appender, falling
-    back to the legacy merge — when NumPy is absent, a block is
-    list-backed, or a range changes the field set or a column dtype.
+    Only uniform input is supported: :meth:`append_range` returns ``False``
+    — and the caller must abandon the appender, falling back to the
+    ``concat_ranges`` merge — when a range changes the field set or a
+    column dtype.
     """
 
     __slots__ = (
@@ -587,15 +463,11 @@ class ColumnAppender:
         return self._len
 
     def append_range(self, block: ColumnBlock, lo: int, hi: int) -> bool:
-        if np is None or not block.is_array_backed:
-            return False
         if self._fields is None and self._first is None:
             self._first = (block, lo, hi)
             return True
         if self._first is not None:
-            held, held_lo, held_hi = self._first
-            if not self._start_buffers(held, held_lo, held_hi, hi - lo):
-                return False
+            self._start_buffers(*self._first, hi - lo)
             self._first = None
         values = block._values
         # Ordered comparison, like concat_ranges' uniformity check: a pane
@@ -638,9 +510,7 @@ class ColumnAppender:
 
     def _start_buffers(
         self, block: ColumnBlock, lo: int, hi: int, upcoming: int
-    ) -> bool:
-        if not block.is_array_backed:
-            return False
+    ) -> None:
         self._fields = list(block._values)
         self._keys = tuple(self._fields)
         self._source_id = block.source_id
@@ -663,7 +533,6 @@ class ColumnAppender:
         for f in self._fields:
             self._values[f][:n] = block._values[f][lo:hi]
         self._len = n
-        return True
 
     def _reserve(self, need: int) -> None:
         if need <= self._cap:

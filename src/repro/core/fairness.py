@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence
 
-from .columns import seq_sum
+import numpy as np
 
-try:  # Guarded: the fairness metrics work without NumPy installed.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+from .columns import seq_sum
 
 __all__ = [
     "jains_index",
@@ -41,7 +38,7 @@ def summary_moments(values: List[float]) -> "tuple[float, float, float, float]":
     sequential-order sums above the cut-over, the exact scalar loops below
     it — bit-identical either way.
     """
-    if np is not None and len(values) >= _VECTORIZE_MIN:
+    if len(values) >= _VECTORIZE_MIN:
         arr = np.asarray(values)
         mean = seq_sum(arr) / len(values)
         deviations = arr - mean
@@ -65,7 +62,7 @@ def jains_index(values: Iterable[float]) -> float:
     xs = [float(v) for v in values]
     if not xs:
         return 1.0
-    if np is not None and len(xs) >= _VECTORIZE_MIN:
+    if len(xs) >= _VECTORIZE_MIN:
         arr = np.asarray(xs)
         total = seq_sum(arr)
         squares = seq_sum(arr * arr)
@@ -82,7 +79,7 @@ def relative_spread(values: Sequence[float]) -> float:
     xs = [float(v) for v in values]
     if not xs:
         return 0.0
-    if np is not None and len(xs) >= _VECTORIZE_MIN:
+    if len(xs) >= _VECTORIZE_MIN:
         arr = np.asarray(xs)
         mean = seq_sum(arr) / len(xs)
         if mean == 0.0:

@@ -16,9 +16,6 @@ Bit-exactness notes
 * ``constant_sic_block``/``apply_mask`` never touch payload values: columns
   are rebound (never mutated), matching the rebind-only discipline of the
   staged operators.
-
-This module is only imported by the fused execution path, which is gated on
-the ``numpy`` columnar backend; it therefore assumes NumPy is importable.
 """
 
 from __future__ import annotations

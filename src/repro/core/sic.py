@@ -26,12 +26,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence
 
-from .tuples import Tuple
+import numpy as np
 
-try:  # Guarded: the SIC model works without NumPy (list columnar backend).
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    _np = None
+from .tuples import Tuple
 
 __all__ = [
     "source_tuple_sic",
@@ -259,13 +256,13 @@ class SourceRateEstimator:
         This is the source-batch fast path: generated timestamps are strictly
         increasing within a batch and across batches of one source.
         """
-        if _np is not None and isinstance(timestamps, _np.ndarray):
+        if isinstance(timestamps, np.ndarray):
             n = len(timestamps)
             if n == 0:
                 return
             window = self._window(source_id)
             horizon = float(timestamps[-1]) - self.stw_seconds
-            keep_from = int(_np.searchsorted(timestamps, horizon, side="left"))
+            keep_from = int(np.searchsorted(timestamps, horizon, side="left"))
             window.buckets.append(_RunBucket(timestamps, keep_from, n))
             window.total += n - keep_from
             self._expire_horizon(window, horizon)
@@ -413,7 +410,7 @@ class SourceRateEstimator:
                     continue
                 if timestamps[head.lo] < horizon:
                     new_lo = head.lo + int(
-                        _np.searchsorted(
+                        np.searchsorted(
                             timestamps[head.lo:head.hi], horizon, side="left"
                         )
                     )
@@ -497,7 +494,6 @@ class SicAssigner:
             self.estimator.observe_run(source, timestamps)
         per_stw = self.estimator.tuples_per_stw(source)
         sic = source_tuple_sic(per_stw, self.num_sources)
-        # Constant column in the block's own backing (ndarray or list).
         block.sics = block.constant_sics(sic)
         return block
 

@@ -13,10 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
 
-try:  # Guarded so the per-tuple data model works without NumPy installed.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
 __all__ = [
     "Tuple",
@@ -46,9 +43,9 @@ def seq_sum(column, initial: float = 0.0) -> float:
     differently); short arrays and plain lists fold through the builtin
     ``sum(column, initial)``, which performs the identical additions at C
     speed.  This is the one reduction primitive every columnar kernel must
-    use so numpy-, list- and tuple-backed runs stay result-identical.
+    use so columnar and per-tuple runs stay result-identical.
     """
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, np.ndarray):
         n = len(column)
         if n == 0:
             return float(initial)
@@ -220,10 +217,7 @@ class Batch:
         sic = seq_sum(block.sics)
         if created_at is None:
             timestamps = block.timestamps
-            if np is not None and isinstance(timestamps, np.ndarray):
-                created_at = float(timestamps.min()) if len(timestamps) else 0.0
-            else:
-                created_at = min(timestamps, default=0.0)
+            created_at = float(timestamps.min()) if len(timestamps) else 0.0
         batch.header = BatchHeader(
             query_id=query_id,
             sic=sic,
@@ -367,7 +361,7 @@ class Batch:
                 sics = self._block.sics[self._block_start:self._block_stop]
             else:
                 sics = [t.sic for t in self._tuples]
-            if np is not None and isinstance(sics, np.ndarray):
+            if isinstance(sics, np.ndarray):
                 if len(sics) > SMALL_COLUMN:
                     # One vectorized pass; accumulate folds left to right, so
                     # every prefix entry matches the Python loop bit for bit.

@@ -60,7 +60,6 @@ def config_with(config: SimulationConfig, **overrides: object) -> SimulationConf
         "enable_sic_updates": config.enable_sic_updates,
         "coordinator_update_interval": config.coordinator_update_interval,
         "columnar": config.columnar,
-        "columnar_backend": config.columnar_backend,
         "runtime": config.runtime,
         "node_shedding_intervals": dict(config.node_shedding_intervals),
         "checkpoint_interval": config.checkpoint_interval,

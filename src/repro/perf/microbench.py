@@ -18,13 +18,14 @@ import os
 import random
 from typing import Dict, List, Mapping, Optional, Tuple as PyTuple
 
+import numpy as np
+
 from ..core._reference import (
     ReferenceBalanceSicPolicy,
     ReferenceSicAssigner,
     ReferenceSourceRateEstimator,
 )
 from ..core.balance_sic import BalanceSicPolicy
-from ..core.columns import use_backend
 from ..core.shedding import BalanceSicShedder
 from ..core.sic import SicAssigner, SourceRateEstimator
 from ..core.tuples import Batch, Tuple
@@ -320,14 +321,6 @@ V2_END_TO_END_CAPACITY = 0.9
 V2_END_TO_END_DATASET = "uniform"
 
 
-def _numpy_version() -> Optional[str]:
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - stripped installs
-        return None
-    return numpy.__version__
-
-
 def _build_v2_blocks(blocks: int, tuples_per_block: int, interval: float = 0.25):
     from ..core.columns import ColumnBlock
 
@@ -348,41 +341,48 @@ def _build_v2_blocks(blocks: int, tuples_per_block: int, interval: float = 0.25)
 
 
 def time_window_insert_v2(
-    backend: str = "numpy",
+    per_tuple: bool = False,
     blocks: int = V2_WINDOW_BLOCKS,
     tuples_per_block: int = V2_WINDOW_TUPLES_PER_BLOCK,
     window_seconds: float = 1.0,
     registry: Optional[PerfRegistry] = None,
 ) -> float:
     """Seconds to bucket paper-scale blocks into a tumbling window and close
-    its panes, under one columnar backend.
+    its panes.
 
-    Both backends run the *same* ``TimeWindow.insert_block`` fast path on the
-    identical workload; only the column storage differs — ``"numpy"``
-    (float64 arrays: change-point run scan, cumsum pane SIC, concatenate pane
-    merge) versus ``"list"`` (the pre-v2 per-element loops).  The ratio is
-    the columnar v2 speedup gated in ``benchmarks/test_bench_micro.py``.
+    Fast path: ``TimeWindow.insert_block`` over the float64 column arrays
+    (change-point run scan, cumsum pane SIC).  Baseline (``per_tuple``): the
+    same rows, materialized outside the timed region, inserted per tuple
+    through ``TimeWindow.insert``.  Pane SIC is bit-identical either way, so
+    the ratio is the columnar v2 speedup gated in
+    ``benchmarks/test_bench_micro.py``.
     """
     from ..streaming.windows import TimeWindow
 
     interval = 0.25
-    with use_backend(backend):
-        column_blocks = _build_v2_blocks(blocks, tuples_per_block, interval)
-        horizon = blocks * interval + window_seconds + 1.0
-        window = TimeWindow(window_seconds)
-        with Stopwatch() as sw:
-            for block in column_blocks:
-                window.insert_block(block)
-            panes = window.advance(horizon)
-            total = sum(pane.sic for pane in panes)
+    column_blocks = _build_v2_blocks(blocks, tuples_per_block, interval)
+    inputs = (
+        [block.to_tuples() for block in column_blocks]
+        if per_tuple
+        else column_blocks
+    )
+    insert = TimeWindow.insert if per_tuple else TimeWindow.insert_block
+    horizon = blocks * interval + window_seconds + 1.0
+    window = TimeWindow(window_seconds)
+    with Stopwatch() as sw:
+        for item in inputs:
+            insert(window, item)
+        panes = window.advance(horizon)
+        total = sum(pane.sic for pane in panes)
     assert total > 0
     if registry is not None:
-        registry.record(f"window_v2.{backend}", sw.elapsed_seconds)
+        name = "window_v2.per_tuple" if per_tuple else "window_v2.numpy"
+        registry.record(name, sw.elapsed_seconds)
     return sw.elapsed_seconds
 
 
 def time_aggregate_v2(
-    backend: str = "numpy",
+    per_tuple: bool = False,
     blocks: int = V2_AGGREGATE_BLOCKS,
     tuples_per_block: int = V2_AGGREGATE_TUPLES_PER_BLOCK,
     window_seconds: float = 1.0,
@@ -391,53 +391,61 @@ def time_aggregate_v2(
     """Seconds to run paper-scale blocks through a windowed aggregate.
 
     Ingest (window bucketing) plus periodic ``advance_items`` rounds: pane
-    merge, payload-column pull and the reduction itself.  On the numpy
-    backend the qualifying values stay one float64 array and the mean reduces
-    through cumsum's last element; on the list backend every row passes
-    through the per-element extraction loop.  Identical results either way —
-    the ratio is pure representation.
+    merge, payload-column pull and the reduction itself.  On the columnar
+    path the qualifying values stay one float64 array and the mean reduces
+    through cumsum's last element; the ``per_tuple`` baseline ingests the
+    same rows as materialized tuples, so every pane is a per-tuple pane and
+    every row passes through the per-element extraction loop.  Identical
+    results either way — the ratio is pure representation.
     """
     from ..streaming.operators.aggregate import Average
 
     interval = 0.25
-    with use_backend(backend):
-        column_blocks = _build_v2_blocks(blocks, tuples_per_block, interval)
-        operator = Average("v", window_seconds=window_seconds)
-        outputs = 0
-        with Stopwatch() as sw:
-            for b, block in enumerate(column_blocks):
-                operator.ingest_block(block)
-                outputs += len(operator.advance_items((b + 1) * interval))
-            outputs += len(
-                operator.advance_items(blocks * interval + window_seconds + 1.0)
-            )
+    column_blocks = _build_v2_blocks(blocks, tuples_per_block, interval)
+    inputs = (
+        [block.to_tuples() for block in column_blocks]
+        if per_tuple
+        else column_blocks
+    )
+    ingest = Average.ingest if per_tuple else Average.ingest_block
+    operator = Average("v", window_seconds=window_seconds)
+    outputs = 0
+    with Stopwatch() as sw:
+        for b, item in enumerate(inputs):
+            ingest(operator, item)
+            outputs += len(operator.advance_items((b + 1) * interval))
+        outputs += len(
+            operator.advance_items(blocks * interval + window_seconds + 1.0)
+        )
     assert outputs > 0
     if registry is not None:
-        registry.record(f"aggregate_v2.{backend}", sw.elapsed_seconds)
+        name = "aggregate_v2.per_tuple" if per_tuple else "aggregate_v2.numpy"
+        registry.record(name, sw.elapsed_seconds)
     return sw.elapsed_seconds
 
 
 def time_end_to_end_v2(
-    backend: str = "numpy",
+    per_tuple: bool = False,
     registry: Optional[PerfRegistry] = None,
     **kwargs,
 ) -> float:
-    """Seconds for one v2 end-to-end macro run under one columnar backend.
+    """Seconds for one v2 end-to-end macro run.
 
     Same full stack as :func:`time_end_to_end` (sources → SIC → node →
     shedder → windows → operators → coordinator, event runtime), at
     paper-scale source rates under mild overload; see the V2_END_TO_END_*
-    constants.  Results are bit-identical across backends, so the ratio
-    isolates the column representation end to end.  Fusion is off on both
-    sides: the numpy-vs-list ratio keeps its staged-vs-staged meaning (the
-    fused ratio is measured separately by :func:`time_end_to_end_fused`).
+    constants.  The ``per_tuple`` baseline runs the seed per-tuple pipeline
+    (``columnar=False``).  Results are bit-identical, so the ratio isolates
+    the representation end to end.  Fusion is off on both sides so the
+    ratio stays staged-vs-staged (the fused ratio is measured separately by
+    :func:`time_end_to_end_fused`).
     """
     params = dict(
         num_queries=V2_END_TO_END_QUERIES,
         rate=V2_END_TO_END_RATE,
         capacity_fraction=V2_END_TO_END_CAPACITY,
         dataset=V2_END_TO_END_DATASET,
-        columnar_backend=backend,
+        columnar=not per_tuple,
         fusion="off",
     )
     params.update(kwargs)
@@ -445,7 +453,8 @@ def time_end_to_end_v2(
     # Mild but real overload: the shedder must actually participate.
     assert any(s.shed_tuples > 0 for s in result.node_summaries)
     if registry is not None:
-        registry.record(f"end_to_end_v2.{backend}", seconds)
+        name = "end_to_end_v2.per_tuple" if per_tuple else "end_to_end_v2.numpy"
+        registry.record(name, seconds)
     return seconds
 
 
@@ -456,7 +465,7 @@ def time_end_to_end_fused(
 ) -> float:
     """Seconds for one paper-scale macro run under one fusion mode.
 
-    Same scenario as :func:`time_end_to_end_v2` on the numpy backend; the
+    Same scenario as :func:`time_end_to_end_v2` on the columnar path; the
     ``fusion="on"`` / ``fusion="off"`` ratio isolates the fragment plan
     compiler (fused single-pass prefix vs staged per-operator dispatch).
     Results are bit-identical across modes, so the ratio is pure execution
@@ -467,7 +476,6 @@ def time_end_to_end_fused(
         rate=V2_END_TO_END_RATE,
         capacity_fraction=V2_END_TO_END_CAPACITY,
         dataset=V2_END_TO_END_DATASET,
-        columnar_backend="numpy",
         fusion=fusion,
     )
     params.update(kwargs)
@@ -560,7 +568,6 @@ def run_end_to_end(
     runtime: str = "event",
     capacity_fraction: float = 0.5,
     dataset: str = "gaussian",
-    columnar_backend: Optional[str] = None,
     fusion: str = "on",
     reliable_delivery: bool = False,
     result_accounting: bool = True,
@@ -587,7 +594,6 @@ def run_end_to_end(
         warmup_seconds=warmup_seconds,
         capacity_fraction=capacity_fraction,
         columnar=columnar,
-        columnar_backend=columnar_backend,
         fusion=fusion,
         runtime=runtime,
         reliable_delivery=reliable_delivery,
@@ -937,49 +943,33 @@ def run_microbench(
         "speedup": e2e_reference / e2e_fast,
     }
 
-    # Columnar v2: the NumPy-backed kernels against the list-backed fast
-    # path on identical workloads (both sides run the same code, only the
-    # column storage differs; results are bit-identical).  Best-of-3 like
-    # the other sub-millisecond kernels; the macro run gets best-of-2.
-    win_v2_numpy = (
-        min(time_window_insert_v2("numpy", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    win_v2_list = (
-        min(time_window_insert_v2("list", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    agg_v2_numpy = (
-        min(time_aggregate_v2("numpy", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    agg_v2_list = (
-        min(time_aggregate_v2("list", registry=registry) for _ in range(3))
-        * 1e3
-    )
-    e2e_v2_numpy = (
-        min(time_end_to_end_v2("numpy", registry=registry) for _ in range(2))
-        * 1e3
-    )
-    e2e_v2_list = (
-        min(time_end_to_end_v2("list", registry=registry) for _ in range(2))
-        * 1e3
-    )
+    # Columnar v2: the NumPy column kernels against the per-tuple path on
+    # identical workloads (results are bit-identical).  Best-of-3 like the
+    # other sub-millisecond kernels; the macro run gets best-of-2.
+    def best_ms(repeats, func, **kwargs):
+        return min(func(registry=registry, **kwargs) for _ in range(repeats)) * 1e3
+
+    win_v2_numpy = best_ms(3, time_window_insert_v2)
+    win_v2_per_tuple = best_ms(3, time_window_insert_v2, per_tuple=True)
+    agg_v2_numpy = best_ms(3, time_aggregate_v2)
+    agg_v2_per_tuple = best_ms(3, time_aggregate_v2, per_tuple=True)
+    e2e_v2_numpy = best_ms(2, time_end_to_end_v2)
+    e2e_v2_per_tuple = best_ms(2, time_end_to_end_v2, per_tuple=True)
     results["columnar_v2"] = {
-        "numpy_version": _numpy_version(),
+        "numpy_version": np.__version__,
         "window": {
             "blocks": V2_WINDOW_BLOCKS,
             "tuples_per_block": V2_WINDOW_TUPLES_PER_BLOCK,
             "numpy_ms": win_v2_numpy,
-            "list_ms": win_v2_list,
-            "speedup": win_v2_list / win_v2_numpy,
+            "per_tuple_ms": win_v2_per_tuple,
+            "speedup": win_v2_per_tuple / win_v2_numpy,
         },
         "aggregate": {
             "blocks": V2_AGGREGATE_BLOCKS,
             "tuples_per_block": V2_AGGREGATE_TUPLES_PER_BLOCK,
             "numpy_ms": agg_v2_numpy,
-            "list_ms": agg_v2_list,
-            "speedup": agg_v2_list / agg_v2_numpy,
+            "per_tuple_ms": agg_v2_per_tuple,
+            "speedup": agg_v2_per_tuple / agg_v2_numpy,
         },
         "end_to_end": {
             "queries": V2_END_TO_END_QUERIES,
@@ -987,13 +977,13 @@ def run_microbench(
             "capacity_fraction": V2_END_TO_END_CAPACITY,
             "dataset": V2_END_TO_END_DATASET,
             "numpy_ms": e2e_v2_numpy,
-            "list_ms": e2e_v2_list,
-            "speedup": e2e_v2_list / e2e_v2_numpy,
+            "per_tuple_ms": e2e_v2_per_tuple,
+            "speedup": e2e_v2_per_tuple / e2e_v2_numpy,
         },
     }
 
     # Fused fragment execution: the plan compiler's single-pass prefix
-    # against staged v2 on the identical paper-scale scenario (numpy backend
+    # against staged v2 on the identical paper-scale scenario (columnar
     # both sides, results bit-identical).  Best-of-3: the macro run is tens
     # of milliseconds and the gated ratio must be stable.
     e2e_fused = (

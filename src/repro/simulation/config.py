@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..core.columns import BACKENDS
 from ..core.stw import StwConfig
 from ..streaming.fused import FUSION_MODES
 
@@ -34,7 +33,7 @@ def _default_runtime() -> str:
 
     Lets CI run the whole tier-1 suite under the sharded driver
     (``REPRO_RUNTIME=sharded``) without touching each test's config, the
-    same pattern as ``REPRO_COLUMNAR_BACKEND`` / ``REPRO_FUSION``.
+    same pattern as ``REPRO_FUSION``.
     """
     value = os.environ.get("REPRO_RUNTIME", "").strip().lower()
     if not value:
@@ -90,14 +89,6 @@ class SimulationConfig:
             generation, SIC stamping and window bucketing).  Result-identical
             to the per-tuple path for equal seeds; disable to time or
             differentially test the tuple-at-a-time reference path.
-        columnar_backend: column storage for the columnar pipeline —
-            ``"numpy"`` (float64 ndarrays, the columnar v2 kernels) or
-            ``"list"`` (plain Python lists, the pre-v2 implementation kept as
-            oracle and NumPy-free fallback).  ``None`` (default) uses the
-            process-wide default (:func:`repro.core.columns.get_default_backend`,
-            overridable via the ``REPRO_COLUMNAR_BACKEND`` environment
-            variable).  Seeded runs are bit-exact result-identical across
-            backends; the simulator scopes the setting to the run.
         runtime: execution driver — ``"event"`` (the discrete-event runtime,
             default) or ``"lockstep"`` (the original global tick loop, kept as
             the equivalence oracle).  Seeded homogeneous-interval runs are
@@ -142,10 +133,9 @@ class SimulationConfig:
             aggregate → output) into single-pass columnar plans
             (:mod:`repro.streaming.fused`); ``"off"`` forces the staged
             operator-at-a-time pipeline everywhere.  Fusion only ever
-            activates on the numpy columnar backend (the list backend always
-            runs staged, as the equivalence oracle) and is bit-exact
+            activates on the columnar pipeline and is bit-exact
             result-identical to the staged path for equal seeds.  The
-            simulator scopes the setting to the run, like the backend.
+            simulator scopes the setting to the run.
         retain_result_values: keep every result tuple's payload on the query
             coordinators (needed by the SIC-correlation experiments, which
             align degraded and perfect runs window by window).  Off by
@@ -166,7 +156,6 @@ class SimulationConfig:
     enable_sic_updates: bool = True
     coordinator_update_interval: Optional[float] = None
     columnar: bool = True
-    columnar_backend: Optional[str] = None
     fusion: str = "on"
     runtime: str = field(default_factory=_default_runtime)
     workers: int = field(default_factory=_default_workers)
@@ -228,11 +217,6 @@ class SimulationConfig:
                 "sharded_processes cannot run heartbeat failure detection "
                 "(the detector schedules control events after the workers "
                 "fork); use inline shards (sharded_processes=False)"
-            )
-        if self.columnar_backend is not None and self.columnar_backend not in BACKENDS:
-            raise ValueError(
-                f"columnar_backend must be one of {BACKENDS} or None, "
-                f"got {self.columnar_backend!r}"
             )
         if self.fusion not in FUSION_MODES:
             raise ValueError(

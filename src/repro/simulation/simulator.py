@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..core.columns import get_default_backend, use_backend
 from ..federation.fsps import FederatedSystem
 from ..streaming.fused import use_fusion
 from ..metrics.collectors import (
@@ -61,14 +60,11 @@ class Simulator:
     def run(self) -> RunResult:
         """Execute warm-up plus measurement period and summarise the run.
 
-        The columnar backend (``config.columnar_backend``) and the fusion
-        mode (``config.fusion``) are scoped to the run: blocks built while
-        the simulation executes use the configured storage, fragments compile
-        (or decline) fused plans per the configured mode, and the
-        process-wide defaults are restored afterwards.
+        The fusion mode (``config.fusion``) is scoped to the run: fragments
+        compile (or decline) fused plans per the configured mode, and the
+        process-wide default is restored afterwards.
         """
-        backend = self.config.columnar_backend or get_default_backend()
-        with use_backend(backend), use_fusion(self.config.fusion):
+        with use_fusion(self.config.fusion):
             return self._run()
 
     def _run(self) -> RunResult:

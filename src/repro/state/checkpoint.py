@@ -25,13 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from ..core.columns import ColumnBlock
 from ..core.tuples import Batch, Tuple
-
-try:  # Guarded: checkpoints of list-backed blocks work without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 
 def _copy_column(column, lo: int = 0, hi: Optional[int] = None):
@@ -39,10 +36,11 @@ def _copy_column(column, lo: int = 0, hi: Optional[int] = None):
 
     Array columns stay arrays (a ``float64`` memcpy, far cheaper than
     expanding 10⁵ rows into Python objects on the migration hot path); list
-    columns stay lists.  Either way the copy shares nothing with its source,
-    and :func:`block_from_state` re-normalizes to the active backend.
+    columns in hand-built states stay lists.  Either way the copy shares
+    nothing with its source, and :func:`block_from_state` normalizes it to
+    ndarray columns.
     """
-    if np is not None and isinstance(column, np.ndarray):
+    if isinstance(column, np.ndarray):
         return column[lo:hi].copy() if (lo, hi) != (0, None) else column.copy()
     return column[lo:hi]
 
@@ -93,9 +91,8 @@ def block_to_state(
 ) -> Dict[str, Any]:
     """Serialise rows ``lo:hi`` of a column group as copied columns.
 
-    Columns keep their container kind (ndarray or list) — the state is still
-    plain data in the sense that matters (copied, self-contained, version-
-    checked), and restoring under either backend re-normalizes it.
+    Columns stay ndarrays — the state is still plain data in the sense that
+    matters (copied, self-contained, version-checked).
     """
     if hi is None:
         hi = len(block)

@@ -11,18 +11,17 @@ batches so the exactness guarantees carry over verbatim:
   structure with the sender's live state, exactly like a checkpoint;
 * batch header SIC values travel verbatim (a ``Batch.split`` prefix header
   is not re-summable), so a round-trip is bit-identical;
-* ``ColumnBlock`` storage keeps its container kind (ndarray or list) and is
-  re-normalised to the receiving process's active backend on restore.
+* ``ColumnBlock`` columns travel as copied ndarrays.
 
-Wire states are plain dicts of Python scalars, tuples, lists and (for the
-numpy backend) ``float64`` arrays — everything ``multiprocessing``'s pickle
+Wire states are plain dicts of Python scalars, tuples, lists and ndarrays —
+everything ``multiprocessing``'s pickle
 transport handles natively.  Action tokens (the sharded runtime's
 deterministic merge order, nested tuples of scalars) pass through untouched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple as PyTuple
+from typing import Any, Dict
 
 from ..federation.network import (
     AckMessage,

@@ -1,6 +1,6 @@
 """Fragment plan compiler: fused single-pass columnar execution.
 
-The columnar v2 kernels (ColumnBlock + NumPy backends) made each *stage* of
+The columnar v2 kernels (NumPy-backed ColumnBlocks) made each *stage* of
 the pipeline fast, but a fragment still pays per-block Python dispatch at
 every operator boundary: ``advance_items`` → ``_process_columnar`` → SIC
 rebind → ``_route_items`` → ``ingest_block`` → window bucketing, per operator
@@ -36,16 +36,14 @@ The plan owns **no state**: buffered input lives in the receiver's window
 and windowed state in the aggregate's ``TimeWindow``, exactly where the
 staged pipeline keeps them.  Checkpoints, migration and fail/rejoin therefore
 see the staged layout unchanged, and any individual tick may fall back to
-staged execution (list-backed blocks after a restore, per-tuple delivery,
-a payload column the filters cannot vectorize) without moving data:
+staged execution (per-tuple delivery, a payload column the filters cannot
+vectorize) without moving data:
 :meth:`FusedPlan.run_prefix` validates the tick's buffered input *before*
 touching any state and simply declines when it is not fusible.
 
-The fusion switch mirrors the columnar backend registry: process-wide
-(``set_fusion`` / ``use_fusion``), seeded from ``REPRO_FUSION`` (default
-``"on"``), surfaced as ``SimulationConfig.fusion`` and scoped by the
-simulator around each run.  The list backend always runs staged — it is the
-NumPy-free equivalence oracle.
+The fusion switch is process-wide (``set_fusion`` / ``use_fusion``), seeded
+from ``REPRO_FUSION`` (default ``"on"``), surfaced as
+``SimulationConfig.fusion`` and scoped by the simulator around each run.
 """
 
 from __future__ import annotations
@@ -54,21 +52,14 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence, Tuple as PyTuple
 
-try:  # Guarded: the list backend (and its CI leg) works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
-from ..core.columns import ColumnAppender, ColumnBlock, get_default_backend
+from ..core import kernels as _kernels
+from ..core.columns import ColumnAppender, ColumnBlock
 from ..core.tuples import seq_sum
 from .operators.aggregate import Average, Count, Max, Min, Sum
 from .operators.stateless import Filter, OutputOperator, SourceReceiver
 from .windows import ImmediateWindow, TimeWindow, _PaneAcc
-
-if np is not None:
-    from ..core import kernels as _kernels
-else:  # pragma: no cover - stripped installs never activate fusion
-    _kernels = None
 
 __all__ = [
     "FUSION_MODES",
@@ -106,7 +97,7 @@ def set_fusion(mode: str) -> str:
 
 @contextmanager
 def use_fusion(mode: str) -> Iterator[None]:
-    """Scope the fusion mode to a ``with`` block (mirrors ``use_backend``)."""
+    """Scope the fusion mode to a ``with`` block (run isolation)."""
     previous = set_fusion(mode)
     try:
         yield
@@ -115,12 +106,8 @@ def use_fusion(mode: str) -> Iterator[None]:
 
 
 def fused_execution_active() -> bool:
-    """Fusion is on *and* the numpy columnar backend is the process default.
-
-    The list backend always runs staged: it doubles as the NumPy-free
-    fallback and the equivalence oracle for the differential suites.
-    """
-    return _fusion_mode == "on" and np is not None and get_default_backend() == "numpy"
+    """True when fragments should run their compiled fused plans."""
+    return _fusion_mode == "on"
 
 
 # Exact types only: subclasses may override _process/_compute with semantics
@@ -246,8 +233,8 @@ class FusedPlan:
         """Run receiver → filters → aggregate ingest as one fused pass.
 
         Returns ``False`` — having touched no state — when this tick's
-        buffered input is not fusible (per-tuple items, list-backed or
-        mixed-schema blocks, a filter column that is not float64); the
+        buffered input is not fusible (per-tuple items, mixed-schema
+        blocks, a filter column that is not float64); the
         caller then runs the full staged pipeline for the tick.
         """
         receiver = self.receiver
@@ -269,8 +256,6 @@ class FusedPlan:
             if type(item) is not tuple:  # a Tuple object, not a (block, lo, hi) range
                 return False
             block = item[0]
-            if not block.is_array_backed:
-                return False
             if check_fields:
                 block_fields = list(block.values)
                 if fields is None:
@@ -290,10 +275,9 @@ class FusedPlan:
         count = acc.count
         appender = ColumnAppender()
         if all(appender.append_range(b, lo, hi) for b, lo, hi in items):
-            # Uniform array-backed ranges: one in-order pass into the
-            # appender's preallocated buffers; build() trims views —
-            # element-identical to the concat_ranges merge of the same
-            # ranges.
+            # Uniform ranges: one in-order pass into the appender's
+            # preallocated buffers; build() trims views — element-identical
+            # to the concat_ranges merge of the same ranges.
             merged = appender.build()
         else:
             merged = ColumnBlock.concat_ranges(items)

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from ...core.columns import seq_sum, to_pylist
+import numpy as np
+
+from ...core.columns import seq_sum
 from ...core.tuples import Tuple
 from ..windows import TimeWindow, WindowPane
 from .base import Operator, PaneGroup
 
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 # The qualifying-value sequence of one window: a float64 array on the fully
 # vectorized path, a plain list everywhere else.  Reductions over arrays go
@@ -102,11 +100,7 @@ class WindowedAggregate(Operator):
                     if column is None:
                         # Uniform schema, no row carries the field.
                         continue
-                    if (
-                        np is not None
-                        and isinstance(column, np.ndarray)
-                        and column.dtype == np.float64
-                    ):
+                    if column.dtype == np.float64:
                         parts.append(column)
                         continue
                     chunk: List[float] = []
@@ -127,10 +121,7 @@ class WindowedAggregate(Operator):
                     compare = predicate.column_compare
                     threshold = predicate.column_threshold
                     if (
-                        np is not None
-                        and isinstance(column, np.ndarray)
-                        and column.dtype == np.float64
-                        and isinstance(predicate_column, np.ndarray)
+                        column.dtype == np.float64
                         and predicate_column.dtype == np.float64
                     ):
                         # Element-wise comparison == the scalar predicate
@@ -151,11 +142,11 @@ class WindowedAggregate(Operator):
             parts.append(chunk)
         if not parts:
             return []
-        if np is not None and all(isinstance(p, np.ndarray) for p in parts):
+        if all(isinstance(p, np.ndarray) for p in parts):
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
         flat: List[float] = []
         for part in parts:
-            if np is not None and isinstance(part, np.ndarray):
+            if isinstance(part, np.ndarray):
                 flat.extend(part.tolist())
             else:
                 flat.extend(part)
@@ -242,7 +233,7 @@ class Max(WindowedAggregate):
     def _compute(self, values: Values) -> Optional[float]:
         if len(values) == 0:
             return None
-        if np is not None and isinstance(values, np.ndarray):
+        if isinstance(values, np.ndarray):
             return float(values.max())
         return max(values)
 
@@ -255,7 +246,7 @@ class Min(WindowedAggregate):
     def _compute(self, values: Values) -> Optional[float]:
         if len(values) == 0:
             return None
-        if np is not None and isinstance(values, np.ndarray):
+        if isinstance(values, np.ndarray):
             return float(values.min())
         return min(values)
 
@@ -306,11 +297,11 @@ class GroupByAggregate(Operator):
             if cols is not None:
                 keys, group_values = cols
                 # A None column: uniform schema without the key/value field —
-                # no row can contribute to any group.  to_pylist keeps the
+                # no row can contribute to any group.  tolist() keeps the
                 # keys emitted into output payloads plain Python objects.
                 if keys is not None and group_values is not None:
                     for key, value in zip(
-                        to_pylist(keys), to_pylist(group_values)
+                        keys.tolist(), group_values.tolist()
                     ):
                         if key is None or value is None:
                             continue

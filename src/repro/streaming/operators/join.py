@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ...core.columns import ColumnBlock, to_pylist
+from ...core.columns import ColumnBlock
 from ...core.tuples import Tuple
 from ..windows import TimeWindow, WindowPane
 from .base import Operator, PaneGroup
@@ -131,13 +131,13 @@ class WindowEquiJoin(Operator):
         if right_keys is None or left_keys is None:
             return ColumnBlock([], [], {})  # no row carries the key
         build: Dict[object, List[int]] = {}
-        for j, key in enumerate(to_pylist(right_keys)):
+        for j, key in enumerate(right_keys.tolist()):
             if key is None:
                 continue
             build.setdefault(key, []).append(j)
         left_rows: List[int] = []
         right_rows: List[int] = []
-        for i, key in enumerate(to_pylist(left_keys)):
+        for i, key in enumerate(left_keys.tolist()):
             if key is None:
                 continue
             rows = build.get(key)
@@ -152,12 +152,12 @@ class WindowEquiJoin(Operator):
         # first, then right block fields (prefixed where shared).
         values: Dict[str, List[object]] = {}
         for field, column in left_block.values.items():
-            column = to_pylist(column)
+            column = column.tolist()
             values[field] = [column[i] for i in left_rows]
         prefix = self.right_prefix
         left_fields = left_block.values
         for field, column in right_block.values.items():
-            column = to_pylist(column)
+            column = column.tolist()
             name = f"{prefix}{field}" if field in left_fields else field
             values[name] = [column[j] for j in right_rows]
         return ColumnBlock(
@@ -220,18 +220,18 @@ class WindowEquiJoin(Operator):
             # A missing key column means no row can carry the key — the
             # per-tuple path would have skipped every row too.
             return []
-        right_keys = to_pylist(right_keys)
-        left_keys = to_pylist(left_keys)
+        right_keys = right_keys.tolist()
+        left_keys = left_keys.tolist()
         build: Dict[object, List[int]] = {}
         for j, key in enumerate(right_keys):
             if key is None:
                 continue
             build.setdefault(key, []).append(j)
         left_fields = list(left_block.values)
-        left_columns = [to_pylist(left_block.values[f]) for f in left_fields]
+        left_columns = [left_block.values[f].tolist() for f in left_fields]
         right_fields = list(right_block.values)
         right_columns = [
-            to_pylist(right_block.values[f]) for f in right_fields
+            right_block.values[f].tolist() for f in right_fields
         ]
         right_prefix = self.right_prefix
         normalised = self.columnar_output

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ...core.columns import ColumnBlock
 from ...core.tuples import Tuple
 from .base import Operator, PaneGroup
-
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 
 def _pane_group_blocks(panes: PaneGroup) -> Optional[List[ColumnBlock]]:
@@ -176,11 +173,7 @@ class Filter(Operator):
                 # Uniform schema without the field: the predicate rejects
                 # every row of this block.
                 continue
-            if (
-                np is not None
-                and isinstance(column, np.ndarray)
-                and column.dtype == np.float64
-            ):
+            if column.dtype == np.float64:
                 # Columnar v2: the predicate is one element-wise comparison
                 # (float64 columns carry no None) and survivors are gathered
                 # with a boolean mask per column.
@@ -213,28 +206,12 @@ class Filter(Operator):
                 continue
             if not keep:
                 continue
-            if block.is_array_backed:
-                index = np.asarray(keep)
-                kept.append(
-                    ColumnBlock._unchecked(
-                        block.timestamps[index],
-                        np.zeros(len(keep)),
-                        {f: col[index] for f, col in block.values.items()},
-                        block.source_id,
-                    )
-                )
-                continue
+            index = np.asarray(keep)
             kept.append(
                 ColumnBlock._unchecked(
-                    [block.timestamps[i] for i in keep],
-                    # Placeholder SIC column: like every _process_columnar
-                    # result, the base class rebinds it with the propagated
-                    # shares before the block is observable.
-                    [0.0] * len(keep),
-                    {
-                        f: [col[i] for i in keep]
-                        for f, col in block.values.items()
-                    },
+                    block.timestamps[index],
+                    np.zeros(len(keep)),  # placeholder, as above
+                    {f: col[index] for f, col in block.values.items()},
                     block.source_id,
                 )
             )

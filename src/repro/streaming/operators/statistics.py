@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ...core.tuples import Tuple
 from ..windows import TimeWindow, WindowPane
 from .base import Operator, PaneGroup
-
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 
 
 def _pane_float_series(pane: WindowPane, field: str) -> List[float]:
@@ -40,11 +37,9 @@ def _pane_float_series(pane: WindowPane, field: str) -> List[float]:
         if column is None:
             # Uniform schema without the field: every row reads as 0.0.
             return [0.0] * len(pane)
-        if np is not None and isinstance(column, np.ndarray):
-            if column.dtype == np.float64:
-                return column.tolist()
-            return [float(v) for v in column.tolist()]
-        return [float(v) for v in column]
+        if column.dtype == np.float64:
+            return column.tolist()
+        return [float(v) for v in column.tolist()]
     return [float(t.values.get(field, 0.0)) for t in pane.tuples]
 
 __all__ = [
@@ -240,11 +235,7 @@ class PartialAverage(Operator):
                 # column None: uniform schema without the field — nothing to
                 # average from this pane.
                 if column is not None:
-                    if (
-                        np is not None
-                        and isinstance(column, np.ndarray)
-                        and column.dtype == np.float64
-                    ):
+                    if column.dtype == np.float64:
                         # float64 columns carry no None; tolist() yields the
                         # identical Python floats in one call.
                         values.extend(column.tolist())

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ...core.columns import to_pylist
 from ...core.tuples import Tuple
 from ..windows import TimeWindow
 from .base import Operator, PaneGroup
@@ -25,9 +24,9 @@ def _collect_best(
 ) -> Dict[object, float]:
     """Best value per identifier across the group, column-wise when possible.
 
-    Columns convert through :func:`to_pylist` before row iteration so the
+    Columns convert through ``ndarray.tolist()`` before row iteration so the
     identifiers that end up in output payloads are the identical Python
-    objects on both columnar backends.
+    objects the per-tuple path emits (never ``np.float64`` scalars).
     """
     best: Dict[object, float] = {}
     for port in sorted(panes):
@@ -38,7 +37,7 @@ def _collect_best(
             # A None column: uniform schema without the id/value field — the
             # pane offers no candidates.
             if idents is not None and values is not None:
-                for ident, value in zip(to_pylist(idents), to_pylist(values)):
+                for ident, value in zip(idents.tolist(), values.tolist()):
                     if ident is None or value is None:
                         continue
                     value = float(value)

@@ -229,8 +229,8 @@ class QueryFragment:
         # dedup lane at the coordinator.
         self._output_epoch = 0
         self._output_seq = 0
-        # Fused execution plan (compiled lazily on first process() while the
-        # numpy backend is active; structural, so compiled once per wiring).
+        # Fused execution plan (compiled lazily on first process() while
+        # fusion is on; structural, so compiled once per wiring).
         self._fused_plan_cache: Optional[object] = None
         self._fused_checked = False
 

@@ -40,13 +40,10 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.columns import SMALL_COLUMN, ColumnAppender, ColumnBlock, seq_sum
 from ..core.tuples import Tuple
-
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
 from ..state.checkpoint import (
     CheckpointError,
     block_from_state,
@@ -169,7 +166,7 @@ class WindowPane:
             ranges = self._ranges
             appender = ColumnAppender()
             if all(appender.append_range(b, lo, hi) for b, lo, hi in ranges):
-                # Uniform array-backed ranges (the ubiquitous case): one
+                # Uniform ranges (the ubiquitous case): one
                 # in-order pass into preallocated grow-by-doubling buffers,
                 # trimmed to views — element-identical to the concat_ranges
                 # merge, without the per-column slice lists it builds.
@@ -188,30 +185,17 @@ class WindowPane:
                     # exactly like the seed did.
                     self.tuples
                     return None
-                # List-backed blocks (or a dtype change mid-pane): the
-                # legacy merge handles what the appender refused.
+                # A dtype change mid-pane: the concat_ranges merge handles
+                # what the appender refused.
                 merged = ColumnBlock.concat_ranges(ranges)
             self._merged = merged
             if self._sort_tuples:
                 timestamps = merged.timestamps
-                if np is not None and isinstance(timestamps, np.ndarray):
-                    ordered = bool(np.all(timestamps[1:] >= timestamps[:-1]))
-                    if not ordered:
-                        # Stable permutation — argsort(kind="stable") applies
-                        # the same reordering a stable sort of the
-                        # materialized tuples by timestamp would.
-                        self._order = np.argsort(timestamps, kind="stable")
-                else:
-                    ordered = all(
-                        timestamps[i] <= timestamps[i + 1]
-                        for i in range(len(timestamps) - 1)
-                    )
-                    if not ordered:
-                        # Stable permutation — same reordering a stable sort
-                        # of the materialized tuples by timestamp would apply.
-                        self._order = sorted(
-                            range(len(timestamps)), key=timestamps.__getitem__
-                        )
+                if not np.all(timestamps[1:] >= timestamps[:-1]):
+                    # Stable permutation — argsort(kind="stable") applies the
+                    # same reordering a stable sort of the materialized
+                    # tuples by timestamp would.
+                    self._order = np.argsort(timestamps, kind="stable")
         return self._merged
 
     def timestamps_column(self) -> Optional[List[float]]:
@@ -221,10 +205,7 @@ class WindowPane:
             return None
         if self._order is None:
             return merged.timestamps
-        timestamps = merged.timestamps
-        if np is not None and isinstance(timestamps, np.ndarray):
-            return timestamps[self._order]
-        return [timestamps[i] for i in self._order]
+        return merged.timestamps[self._order]
 
     def as_block(self) -> Optional[ColumnBlock]:
         """The whole pane as one column group in pane order, or ``None``.
@@ -239,23 +220,12 @@ class WindowPane:
         if self._order is None:
             return merged
         order = self._order
-        timestamps = merged.timestamps
-        sics = merged.sics
-        if np is not None and isinstance(timestamps, np.ndarray):
-            # Fancy indexing applies the stable permutation per column.
-            return ColumnBlock._unchecked(
-                timestamps[order],
-                sics[order],
-                {f: col[order] for f, col in merged.values.items()},
-                merged.source_id,
-            )
-        return ColumnBlock(
-            timestamps=[timestamps[i] for i in order],
-            sics=[sics[i] for i in order],
-            values={
-                f: [col[i] for i in order] for f, col in merged.values.items()
-            },
-            source_id=merged.source_id,
+        # Fancy indexing applies the stable permutation per column.
+        return ColumnBlock._unchecked(
+            merged.timestamps[order],
+            merged.sics[order],
+            {f: col[order] for f, col in merged.values.items()},
+            merged.source_id,
         )
 
     def columns(self, *fields: str) -> Optional[List[Optional[List[Any]]]]:
@@ -292,9 +262,7 @@ class WindowPane:
             return None
         if self._order is None:
             return column
-        if np is not None and isinstance(column, np.ndarray):
-            return column[self._order]
-        return [column[i] for i in self._order]
+        return column[self._order]
 
 
 class _PaneAcc:
@@ -334,18 +302,13 @@ class _PaneAcc:
         identical additions the per-tuple path performs, for bit equality —
         array columns fold through ``seq_sum``'s sequential cumsum)."""
         self.items.append((block, lo, hi))
-        sics = block.sics
-        if np is not None and isinstance(sics, np.ndarray):
-            if hi - lo > SMALL_COLUMN:
-                self.sic = seq_sum(sics[lo:hi], initial=self.sic)
-                self.count += hi - lo
-                return
-            sics = sics[lo:hi].tolist()
-            lo, hi = 0, len(sics)
-        sic = self.sic
-        for s in sics[lo:hi]:
-            sic += s
-        self.sic = sic
+        if hi - lo > SMALL_COLUMN:
+            self.sic = seq_sum(block.sics[lo:hi], initial=self.sic)
+        else:
+            sic = self.sic
+            for s in block.sics[lo:hi].tolist():
+                sic += s
+            self.sic = sic
         self.count += hi - lo
 
     def to_state(self) -> Dict[str, Any]:
@@ -603,19 +566,15 @@ class TimeWindow(WindowBuffer):
             hi = len(block)
         if hi <= lo:
             return
-        timestamps = block.timestamps
-        if np is not None and isinstance(timestamps, np.ndarray):
-            if hi - lo > 32:
-                self._insert_block_array(block, timestamps, lo, hi)
-                return
-            # Short ranges (split-fragmented batches): the scalar run loop
-            # below beats the ufunc dispatch; np.float64 scalars go through
-            # the identical index arithmetic.
-            timestamps = timestamps[lo:hi].tolist()
-            offset = lo
-            lo, hi = 0, len(timestamps)
-        else:
-            offset = 0
+        if hi - lo > 32:
+            self._insert_block_array(block, block.timestamps, lo, hi)
+            return
+        # Short ranges (split-fragmented batches): the scalar run loop below
+        # beats the ufunc dispatch and performs the identical index
+        # arithmetic on the Python floats.
+        timestamps = block.timestamps[lo:hi].tolist()
+        offset = lo
+        lo, hi = 0, len(timestamps)
         if self.is_sliding or any(
             timestamps[i] > timestamps[i + 1] for i in range(lo, hi - 1)
         ):
@@ -659,7 +618,7 @@ class TimeWindow(WindowBuffer):
         the same element-wise SIC additions as the per-tuple path, whether or
         not the timestamps arrive sorted.  Runs that straddle pane intervals
         and sliding windows fall back to the exact per-tuple path, exactly
-        like the list-backed implementation.
+        like the short-range scalar loop.
         """
         if self.is_sliding:
             self.insert(block.to_tuples(lo, hi))

@@ -17,10 +17,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
+import numpy as np
 
 __all__ = [
     "ValueDistribution",
@@ -130,11 +127,8 @@ class UniformValues(ValueDistribution):
         Bit-exact against :meth:`sample_many`: ``random_sample`` produces
         the identical 53-bit doubles the Mersenne Twister gives
         ``random.random()``, and the affine transform matches the inlined
-        ``low + width * random()`` arithmetic.  Returns ``None`` without
-        consuming any draws when NumPy is unavailable.
+        ``low + width * random()`` arithmetic.
         """
-        if np is None:
-            return None
         rs = self._rs
         if not self._rs_live:
             state = self.rng.getstate()

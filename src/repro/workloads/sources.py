@@ -20,15 +20,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional
 
-from ..core.columns import ColumnBlock, get_default_backend
-from ..core.tuples import Tuple
+import numpy as np
 
-try:  # Guarded: the list columnar backend works without NumPy.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    np = None
-if np is not None:
-    from ..core.kernels import build_source_block
+from ..core.columns import ColumnBlock
+from ..core.kernels import build_source_block
+from ..core.tuples import Tuple
 from .datasets import PlanetLabLikeValues, ValueDistribution, make_dataset
 
 __all__ = [
@@ -107,20 +103,15 @@ class StreamSource:
         if count <= 0:
             return None
         step = (end - start) / count
-        if np is not None and get_default_backend() == "numpy":
-            # Element-wise: (index + 0.5) * step + start performs the exact
-            # per-element operations of the list comprehension below, so the
-            # timestamp column is bit-identical across backends.
-            timestamps = start + (np.arange(count) + 0.5) * step
-            sics = np.zeros(count)
-        else:
-            timestamps = [start + (index + 0.5) * step for index in range(count)]
-            sics = [0.0] * count
+        # Element-wise: (index + 0.5) * step + start performs the exact
+        # per-element operations of the per-tuple timestamp expression, so
+        # the timestamp column is bit-identical to :meth:`generate`.
+        timestamps = start + (np.arange(count) + 0.5) * step
         values = self.payload_columns(count)
         self.emitted_tuples += count
         return ColumnBlock(
             timestamps=timestamps,
-            sics=sics,
+            sics=np.zeros(count),
             values=values,
             source_id=self.source_id,
         )
@@ -128,16 +119,13 @@ class StreamSource:
     def generate_block_fused(self, start: float, end: float) -> Optional[ColumnBlock]:
         """Fused :meth:`generate_block`: same output, assembled in one pass.
 
-        When the numpy backend is active and :meth:`payload_columns_fused`
-        hands back ready-made float64 arrays, the block is built through the
-        unchecked constructor — skipping the per-value float scan that
-        payload normalization otherwise performs on every generated column.
-        Falls back to :meth:`generate_block` (without consuming any RNG
-        draws or rate carry) in every other case, so the emitted stream is
-        bit-identical either way.
+        When :meth:`payload_columns_fused` hands back ready-made float64
+        arrays, the block is built through the unchecked constructor —
+        skipping the per-value float scan that payload normalization
+        otherwise performs on every generated column.  Otherwise the scalar
+        :meth:`payload_columns` draw fills the block, so the emitted stream
+        is bit-identical either way.
         """
-        if np is None or get_default_backend() != "numpy":
-            return self.generate_block(start, end)
         count = self.tuples_for_interval(start, end)
         if count <= 0:
             return None
@@ -227,10 +215,7 @@ class ValueSource(StreamSource):
         sample_array = getattr(self.distribution, "sample_array", None)
         if sample_array is None:
             return None
-        column = sample_array(count)
-        if column is None:  # distribution cannot vectorize (e.g. no NumPy)
-            return None
-        return {"v": column}
+        return {"v": sample_array(count)}
 
 
 class CpuSource(StreamSource):

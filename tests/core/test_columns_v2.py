@@ -1,10 +1,12 @@
-"""ColumnBlock v2 (NumPy backend) unit tests.
+"""ColumnBlock v2 unit tests.
 
-Covers the satellite edge cases of the columnar v2 work: empty blocks,
-heterogeneous/object-dtype payload columns, view-vs-copy semantics after
+Covers the satellite edge cases of the columnar v2 work: the one column
+representation (every block-building path yields ndarray columns), empty
+blocks, heterogeneous/object-dtype payload columns, view semantics after
 ``Batch.split``, memoized ``to_tuples`` materialization with invalidation,
 the sequential-sum determinism primitive, and checkpoint round-trips of
-array-backed window/estimator state.
+array-backed window/estimator state.  Cross-implementation checks compare
+against the per-tuple data model.
 """
 
 import random
@@ -12,16 +14,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.columns import (
-    BACKENDS,
-    ColumnBlock,
-    get_default_backend,
-    seq_sum,
-    set_default_backend,
-    use_backend,
-)
+from repro.core.columns import ColumnAppender, ColumnBlock, seq_sum
 from repro.core.sic import SicAssigner, SourceRateEstimator
 from repro.core.tuples import Batch, Tuple
+from repro.federation.network import DataMessage
+from repro.state.checkpoint import block_from_state, block_to_state
+from repro.state.wire import message_from_wire, message_to_wire
 from repro.streaming.windows import ImmediateWindow, TimeWindow
 
 
@@ -34,28 +32,65 @@ def make_block(n=10, start=0.0, source_id="s"):
     )
 
 
-class TestBackendSwitch:
-    def test_backends_and_default(self):
-        assert get_default_backend() in BACKENDS
+def _built_blocks():
+    """Every path that builds a block, keyed by name (for parametrization)."""
+    block = make_block(10)
+    objects = ColumnBlock([0.0, 1.0], [0.5, 0.5], {"id": ["a", "b"]})
+    return {
+        "constructor": lambda: block,
+        "constructor-objects": lambda: objects,
+        "from_tuples": lambda: ColumnBlock.from_tuples(block.to_tuples()),
+        "slice": lambda: block.slice(2, 7),
+        "concat": lambda: ColumnBlock.concat([block, make_block(3, start=1.0)]),
+        "concat-single": lambda: ColumnBlock.concat([block]),
+        "concat_ranges": lambda: ColumnBlock.concat_ranges(
+            [(block, 0, 4), (make_block(5, start=1.0), 1, 5)]
+        ),
+        "appender": lambda: _appended([(block, 0, 4), (block, 6, 10)]),
+        "split-piece": lambda: Batch.from_block("q", make_block(100))
+        .split(40)[1]
+        .block,
+        "block_from_state": lambda: block_from_state(block_to_state(block, 1, 9)),
+        "block_from_list_state": lambda: block_from_state(
+            {
+                "timestamps": [0.0, 0.5],
+                "sics": [0.25, 0.25],
+                "values": {"v": [1.0, 2.0], "id": ["a", "b"]},
+                "source_id": "s",
+            }
+        ),
+        "wire": lambda: message_from_wire(
+            message_to_wire(
+                DataMessage("node-1", Batch.from_block("q", block), "f0")
+            )
+        ).batch.block,
+    }
 
-    def test_use_backend_scopes_and_restores(self):
-        before = get_default_backend()
-        with use_backend("list"):
-            assert get_default_backend() == "list"
-            assert isinstance(make_block().timestamps, list)
-        assert get_default_backend() == before
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_backend("arrow")
+def _appended(ranges):
+    appender = ColumnAppender()
+    for item in ranges:
+        assert appender.append_range(*item)
+    return appender.build()
 
-    def test_numpy_backend_uses_float64_arrays(self):
-        with use_backend("numpy"):
-            block = make_block()
-        assert isinstance(block.timestamps, np.ndarray)
-        assert block.timestamps.dtype == np.float64
-        assert block.sics.dtype == np.float64
-        assert block.values["v"].dtype == np.float64
+
+class TestOneRepresentation:
+    """Every block-building path yields ndarray columns: ``float64``
+    timestamps/SICs and ndarray payload columns.  There is no second
+    storage for any path to fall back to."""
+
+    @pytest.mark.parametrize("path", sorted(_built_blocks()))
+    def test_columns_are_ndarrays(self, path):
+        block = _built_blocks()[path]()
+        assert len(block) > 0
+        for column in (block.timestamps, block.sics):
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.float64
+        assert block.values
+        for column in block.values.values():
+            assert isinstance(column, np.ndarray)
+            assert column.dtype in (np.float64, object)
+            assert len(column) == len(block)
 
 
 class TestSequentialSum:
@@ -79,45 +114,63 @@ class TestSequentialSum:
         assert seq_sum([1.5, 2.25], initial=1.0) == 4.75
 
 
+def as_ndarray(column):
+    """``column`` as the ndarray a kernel would hand over: ``float64`` for
+    all-float columns, ``object`` otherwise."""
+    if column and all(type(v) is float for v in column):
+        return np.array(column, dtype=np.float64)
+    arr = np.empty(len(column), dtype=object)
+    for i, value in enumerate(column):
+        arr[i] = value
+    return arr
+
+
+# Column inputs a caller may hand to ``ColumnBlock``: Python lists (sources,
+# the per-tuple pipeline) or ndarrays (kernel outputs), which take the
+# pass-through arm of the column normalizers.
+COLUMN_INPUTS = {"list": list, "numpy": as_ndarray}
+
+
 class TestEmptyBlocks:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_block_roundtrips(self, backend):
-        with use_backend(backend):
-            block = ColumnBlock([], [], {})
-            assert len(block) == 0
-            assert not block
-            assert block.to_tuples() == []
-            assert block.sic_total() == 0.0
-            merged = ColumnBlock.concat([block, ColumnBlock([], [], {})])
-            assert len(merged) == 0
-            piece = block.slice(0, 0)
-            assert len(piece) == 0
+    @pytest.mark.parametrize("make_column", COLUMN_INPUTS.values(),
+                             ids=COLUMN_INPUTS.keys())
+    def test_empty_block_roundtrips(self, make_column):
+        block = ColumnBlock(make_column([]), make_column([]), {})
+        assert block.timestamps.dtype == np.float64
+        assert block.sics.dtype == np.float64
+        assert len(block) == 0
+        assert not block
+        assert block.to_tuples() == []
+        assert block.sic_total() == 0.0
+        merged = ColumnBlock.concat([block, ColumnBlock([], [], {})])
+        assert len(merged) == 0
+        piece = block.slice(0, 0)
+        assert len(piece) == 0
 
     def test_empty_batch_from_block(self):
-        with use_backend("numpy"):
-            batch = Batch.from_block("q", ColumnBlock([], [], {}))
+        batch = Batch.from_block("q", ColumnBlock([], [], {}))
         assert len(batch) == 0
         assert batch.header.sic == 0.0
         assert batch.header.created_at == 0.0
 
 
 class TestObjectColumns:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_heterogeneous_payload_values_preserved(self, backend):
+    @pytest.mark.parametrize("make_column", COLUMN_INPUTS.values(),
+                             ids=COLUMN_INPUTS.keys())
+    def test_heterogeneous_payload_values_preserved(self, make_column):
         values = {
             "id": ["node-1", "node-2", "node-3"],
             "tags": [["a"], [], ["b", "c"]],
             "count": [1, 2, 3],  # ints stay ints (no float64 coercion)
             "v": [1.0, 2.0, 3.0],
         }
-        with use_backend(backend):
-            block = ColumnBlock(
-                timestamps=[0.1, 0.2, 0.3],
-                sics=[0.5, 0.25, 0.25],
-                values={f: list(col) for f, col in values.items()},
-                source_id="s",
-            )
-            tuples = block.to_tuples()
+        block = ColumnBlock(
+            timestamps=[0.1, 0.2, 0.3],
+            sics=[0.5, 0.25, 0.25],
+            values={f: make_column(col) for f, col in values.items()},
+            source_id="s",
+        )
+        tuples = block.to_tuples()
         for i, t in enumerate(tuples):
             assert t.values["id"] == values["id"][i]
             assert type(t.values["id"]) is str
@@ -127,27 +180,24 @@ class TestObjectColumns:
             assert type(t.values["v"]) is float
 
     def test_object_columns_get_object_dtype(self):
-        with use_backend("numpy"):
-            block = ColumnBlock(
-                timestamps=[0.0, 1.0],
-                values={"id": ["a", "b"], "mixed": [1, "x"]},
-            )
+        block = ColumnBlock(
+            timestamps=[0.0, 1.0],
+            values={"id": ["a", "b"], "mixed": [1, "x"]},
+        )
         assert block.values["id"].dtype == object
         assert block.values["mixed"].dtype == object
 
     def test_object_columns_concat(self):
-        with use_backend("numpy"):
-            a = ColumnBlock([0.0], values={"id": ["a"]}, source_id="s")
-            b = ColumnBlock([1.0], values={"id": ["b"]}, source_id="s")
-            merged = ColumnBlock.concat_ranges([(a, 0, 1), (b, 0, 1)])
+        a = ColumnBlock([0.0], values={"id": ["a"]}, source_id="s")
+        b = ColumnBlock([1.0], values={"id": ["b"]}, source_id="s")
+        merged = ColumnBlock.concat_ranges([(a, 0, 1), (b, 0, 1)])
         assert merged.values["id"].tolist() == ["a", "b"]
         assert merged.source_id == "s"
 
 
 class TestToTuplesMemoization:
     def test_full_materialization_is_cached(self):
-        with use_backend("numpy"):
-            block = make_block(5)
+        block = make_block(5)
         first = block.to_tuples()
         second = block.to_tuples()
         assert first == second
@@ -159,8 +209,7 @@ class TestToTuplesMemoization:
         assert block.to_tuples(1, 3)[0] is first[1]
 
     def test_rebinding_a_column_invalidates_the_cache(self):
-        with use_backend("numpy"):
-            block = make_block(4)
+        block = make_block(4)
         before = block.to_tuples()
         block.sics = block.constant_sics(0.125)
         after = block.to_tuples()
@@ -168,8 +217,7 @@ class TestToTuplesMemoization:
         assert all(t.sic == 0.125 for t in after)
 
     def test_partial_range_does_not_build_the_cache(self):
-        with use_backend("numpy"):
-            block = make_block(6)
+        block = make_block(6)
         a = block.to_tuples(0, 2)
         b = block.to_tuples(0, 2)
         assert a == b
@@ -177,126 +225,107 @@ class TestToTuplesMemoization:
 
 
 class TestSplitViewSemantics:
-    def test_numpy_split_pieces_are_zero_copy_views(self):
-        with use_backend("numpy"):
-            block = make_block(100)
-            batch = Batch.from_block("q", block)
-            head, tail = batch.split(40)
-            assert len(head) == 40 and len(tail) == 60
-            # Reading a piece's block materializes an O(1) view over the
-            # parent's arrays — no column copies.
-            assert np.shares_memory(head.block.timestamps, block.timestamps)
-            assert np.shares_memory(tail.block.timestamps, block.timestamps)
-            assert head.block.values["v"].base is not None
-            # Header SIC is prefix-derived and exact.
-            assert head.header.sic + tail.header.sic == pytest.approx(
-                batch.header.sic
+    def test_split_pieces_are_zero_copy_views(self):
+        block = make_block(100)
+        batch = Batch.from_block("q", block)
+        head, tail = batch.split(40)
+        assert len(head) == 40 and len(tail) == 60
+        # Reading a piece's block materializes an O(1) view over the
+        # parent's arrays — no column copies.
+        assert np.shares_memory(head.block.timestamps, block.timestamps)
+        assert np.shares_memory(tail.block.timestamps, block.timestamps)
+        assert head.block.values["v"].base is not None
+        # Header SIC is prefix-derived and exact.
+        assert head.header.sic + tail.header.sic == pytest.approx(
+            batch.header.sic
+        )
+        assert head.block.timestamps.tolist() == block.timestamps[:40].tolist()
+
+    @pytest.mark.parametrize("rows", [20, 200], ids=["short", "long"])
+    def test_split_pieces_match_per_tuple_batch(self, rows):
+        # Columnar split (shared ndarray prefix above SMALL_COLUMN rows, the
+        # scalar prefix below) against the per-tuple batch's split.
+        def pieces(columnar):
+            block = make_block(rows)
+            batch = (
+                Batch.from_block("q", block)
+                if columnar
+                else Batch("q", block.to_tuples(fresh=True))
             )
-            assert head.block.timestamps.tolist() == block.timestamps[:40].tolist()
+            head, tail = batch.split(7)
+            return (
+                [(t.timestamp, t.sic, t.values) for t in head.tuples + tail.tuples],
+                (head.header.sic, tail.header.sic),
+            )
 
-    def test_list_split_pieces_are_copies(self):
-        with use_backend("list"):
-            block = make_block(10)
-            batch = Batch.from_block("q", block)
-            head, _ = batch.split(4)
-            assert head.block.timestamps == block.timestamps[:4]
-            assert head.block.timestamps is not block.timestamps
-
-    def test_split_tuples_match_across_backends(self):
-        def pieces(backend):
-            with use_backend(backend):
-                block = make_block(20)
-                batch = Batch.from_block("q", block)
-                head, tail = batch.split(7)
-                return [
-                    (t.timestamp, t.sic, t.values)
-                    for t in head.tuples + tail.tuples
-                ]
-
-        assert pieces("numpy") == pieces("list")
+        assert pieces(True) == pieces(False)
 
 
 class TestArrayStateRoundTrips:
     def test_time_window_checkpoint_roundtrip_array_backed(self):
-        with use_backend("numpy"):
-            window = TimeWindow(1.0)
-            for b in range(8):
-                window.insert_block(make_block(50, start=b * 0.25))
-            state = window.snapshot()
-            restored = TimeWindow(1.0)
-            restored.restore(state)
-            assert restored.pending_count() == window.pending_count()
-            assert restored.pending_sic() == window.pending_sic()
-            # Restored panes close to identical results.
-            a = [(p.sic, len(p)) for p in window.advance(10.0)]
-            b = [(p.sic, len(p)) for p in restored.advance(10.0)]
-            assert a == b
-
-    def test_restore_under_other_backend_is_result_identical(self):
-        with use_backend("numpy"):
-            window = TimeWindow(1.0)
-            for b in range(8):
-                window.insert_block(make_block(50, start=b * 0.25))
-            state = window.snapshot()
-            panes_numpy = [
-                (p.sic, [t.sic for t in p.tuples]) for p in window.advance(10.0)
-            ]
-        with use_backend("list"):
-            restored = TimeWindow(1.0)
-            restored.restore(state)
-            panes_list = [
-                (p.sic, [t.sic for t in p.tuples])
-                for p in restored.advance(10.0)
-            ]
-        assert panes_numpy == panes_list
+        window = TimeWindow(1.0)
+        for b in range(8):
+            window.insert_block(make_block(50, start=b * 0.25))
+        state = window.snapshot()
+        restored = TimeWindow(1.0)
+        restored.restore(state)
+        assert restored.pending_count() == window.pending_count()
+        assert restored.pending_sic() == window.pending_sic()
+        # Restored panes close to identical results.
+        a = [(p.sic, len(p)) for p in window.advance(10.0)]
+        b = [(p.sic, len(p)) for p in restored.advance(10.0)]
+        assert a == b
 
     def test_immediate_window_roundtrip_array_backed(self):
-        with use_backend("numpy"):
-            window = ImmediateWindow()
-            window.insert_block(make_block(30))
-            window.insert([Tuple(timestamp=0.4, sic=0.25, values={"v": 9.0})])
-            state = window.snapshot()
-            restored = ImmediateWindow()
-            restored.restore(state)
-            assert restored.pending_sic() == window.pending_sic()
-            (pane_a,) = window.advance(1.0)
-            (pane_b,) = restored.advance(1.0)
-            assert pane_a.sic == pane_b.sic
-            assert [t.values for t in pane_a.tuples] == [
-                t.values for t in pane_b.tuples
-            ]
+        window = ImmediateWindow()
+        window.insert_block(make_block(30))
+        window.insert([Tuple(timestamp=0.4, sic=0.25, values={"v": 9.0})])
+        state = window.snapshot()
+        restored = ImmediateWindow()
+        restored.restore(state)
+        assert restored.pending_sic() == window.pending_sic()
+        (pane_a,) = window.advance(1.0)
+        (pane_b,) = restored.advance(1.0)
+        assert pane_a.sic == pane_b.sic
+        assert [t.values for t in pane_a.tuples] == [
+            t.values for t in pane_b.tuples
+        ]
 
     def test_estimator_run_buckets_roundtrip(self):
-        with use_backend("numpy"):
-            original = SourceRateEstimator(stw_seconds=2.0)
-            for b in range(6):
-                block = make_block(40, start=b * 0.25)
-                original.observe_run("s", block.timestamps)
-            state = original.snapshot()
-            # Run buckets expand to the plain [t, 1] pair layout.
-            buckets = state["windows"]["s"]["buckets"]
-            assert all(count == 1 for _, count in buckets)
-            restored = SourceRateEstimator(stw_seconds=2.0)
-            restored.restore(state)
-            assert restored.tuples_per_stw("s") == original.tuples_per_stw("s")
-            # Future arrivals produce identical estimates on both.
-            late = make_block(40, start=2.0)
-            original.observe_run("s", late.timestamps)
-            restored.observe_run("s", late.timestamps)
-            assert restored.tuples_per_stw("s") == original.tuples_per_stw("s")
+        original = SourceRateEstimator(stw_seconds=2.0)
+        for b in range(6):
+            block = make_block(40, start=b * 0.25)
+            original.observe_run("s", block.timestamps)
+        state = original.snapshot()
+        # Run buckets expand to the plain [t, 1] pair layout.
+        buckets = state["windows"]["s"]["buckets"]
+        assert all(count == 1 for _, count in buckets)
+        restored = SourceRateEstimator(stw_seconds=2.0)
+        restored.restore(state)
+        assert restored.tuples_per_stw("s") == original.tuples_per_stw("s")
+        # Future arrivals produce identical estimates on both.
+        late = make_block(40, start=2.0)
+        original.observe_run("s", late.timestamps)
+        restored.observe_run("s", late.timestamps)
+        assert restored.tuples_per_stw("s") == original.tuples_per_stw("s")
 
-    def test_assigner_array_vs_list_estimates_identical(self):
-        def stamped(backend):
-            with use_backend(backend):
-                assigner = SicAssigner("q", 2, stw_seconds=2.0)
-                out = []
-                for b in range(10):
-                    block = make_block(25, start=b * 0.25)
+    def test_assigner_block_vs_per_tuple_estimates_identical(self):
+        # assign_block (array run buckets) against assign on the same rows
+        # as tuples (per-arrival pair buckets).
+        def stamped(columnar):
+            assigner = SicAssigner("q", 2, stw_seconds=2.0)
+            out = []
+            for b in range(10):
+                block = make_block(25, start=b * 0.25)
+                if columnar:
                     assigner.assign_block(block)
-                    out.append(list(block.sics))
-                return out
+                    out.append(block.sics.tolist())
+                else:
+                    tuples = assigner.assign(block.to_tuples(fresh=True))
+                    out.append([t.sic for t in tuples])
+            return out
 
-        assert stamped("numpy") == stamped("list")
+        assert stamped(True) == stamped(False)
 
 
 class TestMaterializationCounter:
@@ -349,8 +378,6 @@ class TestColumnAppender:
         assert built.source_id == merged.source_id
 
     def test_matches_concat_ranges_bit_for_bit(self):
-        from repro.core.columns import ColumnAppender
-
         ranges = self._ranges([(3, 0), (5, 10), (2, 20), (40, 30)])
         appender = ColumnAppender()
         for block, lo, hi in ranges:
@@ -358,8 +385,6 @@ class TestColumnAppender:
         self._assert_equal(appender.build(), ColumnBlock.concat_ranges(ranges))
 
     def test_single_range_stays_lazy_zero_copy(self):
-        from repro.core.columns import ColumnAppender
-
         (item,) = self._ranges([(4, 0)])
         appender = ColumnAppender()
         assert appender.append_range(*item)
@@ -369,8 +394,6 @@ class TestColumnAppender:
         assert built is item[0]
 
     def test_partial_ranges_copy_the_window(self):
-        from repro.core.columns import ColumnAppender
-
         ranges = self._ranges([(6, 0), (6, 10)])
         sliced = [(b, 1, 5) for b, _, _ in ranges]
         appender = ColumnAppender()
@@ -378,17 +401,7 @@ class TestColumnAppender:
             assert appender.append_range(*item)
         self._assert_equal(appender.build(), ColumnBlock.concat_ranges(sliced))
 
-    def test_degrades_on_list_backend(self):
-        from repro.core.columns import ColumnAppender
-
-        with use_backend("list"):
-            (item,) = self._ranges([(3, 0)])
-            appender = ColumnAppender()
-            assert not appender.append_range(*item)
-
     def test_degrades_on_schema_change(self):
-        from repro.core.columns import ColumnAppender
-
         a = ColumnBlock([0.0], [0.5], {"v": [1.0]})
         b = ColumnBlock([1.0], [0.5], {"w": [1.0]})
         appender = ColumnAppender()
@@ -396,8 +409,6 @@ class TestColumnAppender:
         assert not appender.append_range(b, 0, 1)
 
     def test_degrades_on_dtype_change(self):
-        from repro.core.columns import ColumnAppender
-
         a = ColumnBlock([0.0], [0.5], {"v": [1.0]})
         b = ColumnBlock([1.0], [0.5], {"v": ["tag"]})  # object column
         appender = ColumnAppender()
@@ -405,8 +416,6 @@ class TestColumnAppender:
         assert not appender.append_range(b, 0, 1)
 
     def test_mixed_source_ids_drop_to_none(self):
-        from repro.core.columns import ColumnAppender
-
         a = ColumnBlock([0.0], [0.5], {"v": [1.0]}, source_id="s0")
         b = ColumnBlock([1.0], [0.6], {"v": [2.0]}, source_id="s1")
         appender = ColumnAppender()
@@ -418,8 +427,6 @@ class TestColumnAppender:
         assert merged.source_id is None
 
     def test_object_columns_carry_identical_objects(self):
-        from repro.core.columns import ColumnAppender
-
         payload = {"k": 1}
         a = ColumnBlock([0.0, 0.1], [0.5, 0.5], {"v": ["x", payload]})
         b = ColumnBlock([1.0, 1.1], [0.6, 0.6], {"v": [payload, "y"]})
@@ -431,8 +438,6 @@ class TestColumnAppender:
         assert built.values["v"][2] is payload
 
     def test_growth_over_many_appends(self):
-        from repro.core.columns import ColumnAppender
-
         ranges = self._ranges([(1, i) for i in range(100)])
         appender = ColumnAppender()
         for item in ranges:

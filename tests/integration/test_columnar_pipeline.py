@@ -11,10 +11,9 @@ and network accounting — exactly, not approximately.  Covered scenarios:
   unions, joins, filters and the per-tuple fallbacks;
 * bursty sources (the §7.4 burstiness model) with fractional rates.
 
-Columnar v2 extends the oracle chain with the backend axis: for equal seeds
-the NumPy-backed pipeline must reproduce the list-backed pipeline (and hence
-the per-tuple pipeline) exactly — asserted across LAN/WAN/zero-latency
-networks, bursty sources and a live mid-run fragment migration.
+The per-tuple pipeline is the oracle for the NumPy column kernels across
+LAN/WAN/zero-latency networks, bursty sources and a live mid-run fragment
+migration.
 """
 
 import pytest
@@ -31,12 +30,13 @@ from repro.workloads.aggregate import make_aggregate_query
 from repro.workloads.complex import make_avg_all_query, make_cov_query, make_top5_query
 
 
-def run_local(columnar, bursty=False):
+def run_local(columnar, latency=0.005, bursty=False):
     config = SimulationConfig(
         duration_seconds=4.0,
         warmup_seconds=1.0,
         capacity_fraction=0.5,
         columnar=columnar,
+        network_latency_seconds=latency,
         retain_result_values=True,
         seed=0,
     )
@@ -92,57 +92,6 @@ def run_federated(columnar):
     return system
 
 
-class TestLocalEngineIdentity:
-    def test_aggregate_workload_identical(self):
-        columnar = run_local(True)
-        reference = run_local(False)
-        assert columnar.per_query_sic == reference.per_query_sic
-        assert columnar.sic_time_series == reference.sic_time_series
-        assert columnar.result_values == reference.result_values
-        for c, r in zip(columnar.node_summaries, reference.node_summaries):
-            assert c.received_tuples == r.received_tuples
-            assert c.kept_tuples == r.kept_tuples
-            assert c.shed_tuples == r.shed_tuples
-            assert c.overloaded_ticks == r.overloaded_ticks
-        assert columnar.messages_sent == reference.messages_sent
-        assert columnar.bytes_sent == reference.bytes_sent
-
-    def test_bursty_sources_identical(self):
-        columnar = run_local(True, bursty=True)
-        reference = run_local(False, bursty=True)
-        assert columnar.per_query_sic == reference.per_query_sic
-        assert columnar.result_values == reference.result_values
-
-    def test_some_shedding_actually_happened(self):
-        result = run_local(True)
-        assert any(s.shed_tuples > 0 for s in result.node_summaries)
-
-
-def run_local_backend(backend, latency=0.005, bursty=False):
-    config = SimulationConfig(
-        duration_seconds=4.0,
-        warmup_seconds=1.0,
-        capacity_fraction=0.5,
-        columnar=True,
-        columnar_backend=backend,
-        network_latency_seconds=latency,
-        retain_result_values=True,
-        seed=0,
-    )
-    engine = LocalEngine(config)
-    kinds = ("avg", "max", "count")
-    for i in range(9):
-        query = make_aggregate_query(
-            kinds[i % 3], query_id=f"q{i}", rate=173.3, seed=i
-        )
-        if bursty:
-            from repro.workloads.sources import BurstySource
-
-            query.sources = [BurstySource(s, seed=i) for s in query.sources]
-        engine.add_query(query)
-    return engine.run()
-
-
 def assert_runs_identical(a, b):
     assert a.per_query_sic == b.per_query_sic
     assert a.sic_time_series == b.sic_time_series
@@ -156,66 +105,41 @@ def assert_runs_identical(a, b):
     assert a.bytes_sent == b.bytes_sent
 
 
-class TestBackendIdentity:
-    """Columnar v2: numpy-backed runs ≡ list-backed runs, bit for bit."""
+class TestLocalEngineIdentity:
+    def test_aggregate_workload_identical(self):
+        assert_runs_identical(run_local(True), run_local(False))
 
-    @pytest.mark.parametrize(
-        "latency", [0.005, 0.075, 0.0], ids=["lan", "wan", "zero"]
-    )
-    def test_aggregate_workload_identical_across_backends(self, latency):
-        numpy_run = run_local_backend("numpy", latency=latency)
-        list_run = run_local_backend("list", latency=latency)
-        assert_runs_identical(numpy_run, list_run)
-
-    def test_bursty_sources_identical_across_backends(self):
-        numpy_run = run_local_backend("numpy", bursty=True)
-        list_run = run_local_backend("list", bursty=True)
-        assert numpy_run.per_query_sic == list_run.per_query_sic
-        assert numpy_run.result_values == list_run.result_values
-
-    def test_numpy_backend_matches_per_tuple_pipeline(self):
-        """Oracle chain closes: numpy columnar ≡ seed per-tuple pipeline."""
-        numpy_run = run_local_backend("numpy")
-        reference = run_local(False)
-        assert numpy_run.per_query_sic == reference.per_query_sic
-        assert numpy_run.result_values == reference.result_values
-
-    def test_complex_workload_identical_across_backends(self):
-        from repro.core.columns import use_backend
-
-        with use_backend("numpy"):
-            numpy_system = run_federated(True)
-        with use_backend("list"):
-            list_system = run_federated(True)
-        assert (
-            numpy_system.mean_sic_per_query() == list_system.mean_sic_per_query()
-        )
-        assert (
-            numpy_system.total_received_tuples()
-            == list_system.total_received_tuples()
-        )
-        assert (
-            numpy_system.total_shed_tuples() == list_system.total_shed_tuples()
-        )
-        assert (
-            numpy_system.network.bytes_sent == list_system.network.bytes_sent
+    @pytest.mark.parametrize("latency", [0.075, 0.0], ids=["wan", "zero"])
+    def test_aggregate_workload_identical_across_networks(self, latency):
+        assert_runs_identical(
+            run_local(True, latency=latency), run_local(False, latency=latency)
         )
 
+    def test_bursty_sources_identical(self):
+        assert_runs_identical(
+            run_local(True, bursty=True), run_local(False, bursty=True)
+        )
 
-class TestBackendMigrationIdentity:
-    """A live mid-run migration under the numpy backend stays invisible and
-    matches the list backend run for run (array-backed window/estimator
+    def test_some_shedding_actually_happened(self):
+        result = run_local(True)
+        assert any(s.shed_tuples > 0 for s in result.node_summaries)
+
+
+class TestMigrationIdentity:
+    """A live mid-run migration of columnar state stays invisible and
+    matches the per-tuple pipeline run for run (array-backed window/estimator
     state travels through FragmentCheckpoint unchanged)."""
 
     INTERVAL = 0.25
     STW = StwConfig(stw_seconds=4.0, slide_seconds=INTERVAL)
 
-    def build_system(self, latency=0.005):
+    def build_system(self, columnar, latency=0.005):
         system = FederatedSystem(
             stw_config=self.STW,
             shedding_interval=self.INTERVAL,
             network=Network(UniformLatency(latency)),
             retain_results=True,
+            columnar=columnar,
         )
         for i in range(2):
             system.add_node(
@@ -238,30 +162,28 @@ class TestBackendMigrationIdentity:
             )
         return system
 
-    def run_with_migration(self, backend):
-        from repro.core.columns import use_backend
+    def run_with_migration(self, columnar, latency):
+        system = self.build_system(columnar, latency)
+        runtime = EventRuntime(system)
+        runtime.run(4.0)
+        fragment_id = next(iter(system.queries["q0"].fragments))
+        runtime.migrate_fragment(fragment_id, "node-1")
+        runtime.run(4.0)
+        runtime.close()
+        return {
+            coordinator.query_id: (
+                list(coordinator.tracker.history),
+                coordinator.result_tuples,
+                list(coordinator.result_values),
+            )
+            for coordinator in system.coordinators.all()
+        }
 
-        with use_backend(backend):
-            system = self.build_system()
-            runtime = EventRuntime(system)
-            runtime.run(4.0)
-            fragment_id = next(iter(system.queries["q0"].fragments))
-            runtime.migrate_fragment(fragment_id, "node-1")
-            runtime.run(4.0)
-            runtime.close()
-            return {
-                coordinator.query_id: (
-                    list(coordinator.tracker.history),
-                    coordinator.result_tuples,
-                    list(coordinator.result_values),
-                )
-                for coordinator in system.coordinators.all()
-            }
-
-    def test_migration_mid_run_identical_across_backends(self):
-        assert self.run_with_migration("numpy") == self.run_with_migration(
-            "list"
-        )
+    @pytest.mark.parametrize("latency", [0.005, 0.075], ids=["lan", "wan"])
+    def test_migration_mid_run_identical_to_per_tuple(self, latency):
+        columnar = self.run_with_migration(True, latency)
+        assert columnar == self.run_with_migration(False, latency)
+        assert all(result_tuples > 0 for _, result_tuples, _ in columnar.values())
 
 
 class TestFederatedIdentity:

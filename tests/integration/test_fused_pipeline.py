@@ -5,7 +5,7 @@ as the columnar v2 work, extended with the fusion axis: for equal seeds a
 ``fusion="on"`` run must reproduce the ``fusion="off"`` (staged v2) run's
 ``RunResult`` exactly — per-query SIC values, result payloads, shed/kept
 counters and network accounting — which also closes the oracle chain through
-the list backend and the seed per-tuple pipeline.  Covered scenarios:
+the seed per-tuple pipeline.  Covered scenarios:
 
 * the aggregate workload (avg/max/count, including the Having-count) plus a
   Where-filtered average that exercises the fused mask ladder, across
@@ -54,13 +54,12 @@ def make_filtered_query(query_id, rate=173.3, dataset="uniform", seed=0):
     )
 
 
-def run_local(fusion, latency=0.005, bursty=False, columnar=True, backend=None):
+def run_local(fusion, latency=0.005, bursty=False, columnar=True):
     config = SimulationConfig(
         duration_seconds=4.0,
         warmup_seconds=1.0,
         capacity_fraction=0.5,
         columnar=columnar,
-        columnar_backend=backend,
         fusion=fusion,
         network_latency_seconds=latency,
         retain_result_values=True,
@@ -112,18 +111,16 @@ class TestFusedLocalIdentity:
         staged = run_local("off", bursty=True)
         assert_runs_identical(fused, staged)
 
-    def test_fused_matches_list_backend_oracle(self):
-        # The list backend always runs staged; fusion="on" there is a no-op,
-        # closing the chain fused ≡ staged-numpy ≡ staged-list.
-        fused = run_local("on", backend="numpy")
-        list_run = run_local("on", backend="list")
-        assert_runs_identical(fused, list_run)
-
     def test_fused_matches_per_tuple_pipeline(self):
+        # Closes the chain fused ≡ staged columnar ≡ per-tuple.
         fused = run_local("on")
         per_tuple = run_local("off", columnar=False)
-        assert fused.per_query_sic == per_tuple.per_query_sic
-        assert fused.result_values == per_tuple.result_values
+        assert_runs_identical(fused, per_tuple)
+
+    def test_fused_matches_per_tuple_with_bursty_sources(self):
+        fused = run_local("on", bursty=True)
+        per_tuple = run_local("off", bursty=True, columnar=False)
+        assert_runs_identical(fused, per_tuple)
 
     def test_shedding_and_filtering_actually_happened(self):
         result = run_local("on")

@@ -3,20 +3,19 @@
 The sharded runtime's worker pool ships boundary messages between forked
 replicas through :mod:`repro.state.wire`.  The contract mirrors the
 checkpoint envelope's: columns are copied (never aliased), batch header SIC
-travels verbatim (a ``split`` prefix header is not re-summable), storage
-survives on both columnar backends, and the nested action tokens that *are*
-the deterministic merge order pass through untouched.
+travels verbatim (a ``split`` prefix header is not re-summable), columnar and
+per-tuple batches restore to the same tuples, and the nested action tokens
+that *are* the deterministic merge order pass through untouched.
 """
 
 import pytest
 
-from repro.core.columns import ColumnBlock, use_backend
+from repro.core.columns import ColumnBlock
 from repro.core.tuples import Batch, Tuple
 from repro.federation.network import (
     AckMessage,
     DataMessage,
     HeartbeatMessage,
-    ResultMessage,
     SicUpdateMessage,
     _InFlight,
     _PendingSend,
@@ -29,8 +28,6 @@ from repro.state.wire import (
     pending_send_from_wire,
     pending_send_to_wire,
 )
-
-np = pytest.importorskip("numpy")
 
 
 def make_block(n=6, source_id="src-0", objects=False):
@@ -52,22 +49,29 @@ def assert_batches_equal(restored, original):
 
 
 class TestMessageRoundTrip:
-    @pytest.mark.parametrize("backend", ["numpy", "list"])
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "per-tuple"])
     @pytest.mark.parametrize("objects", [False, True], ids=["float", "object"])
-    def test_data_message_round_trip(self, backend, objects):
-        with use_backend(backend):
+    def test_data_message_round_trip(self, columnar, objects):
+        block = make_block(objects=objects)
+        if columnar:
             batch = Batch.from_block(
-                "q0", make_block(objects=objects), created_at=1.25,
+                "q0", block, created_at=1.25, fragment_id="f0"
+            )
+        else:
+            batch = Batch(
+                "q0", block.to_tuples(fresh=True), created_at=1.25,
                 fragment_id="f0",
             )
-            message = DataMessage(
-                destination="node-1", batch=batch, target_fragment_id="f0"
-            )
-            restored = message_from_wire(message_to_wire(message))
+        message = DataMessage(
+            destination="node-1", batch=batch, target_fragment_id="f0"
+        )
+        restored = message_from_wire(message_to_wire(message))
         assert restored.kind == "data"
         assert restored.destination == "node-1"
         assert restored.target_fragment_id == "f0"
         assert_batches_equal(restored.batch, batch)
+        # Both representations restore to the rows the block describes.
+        assert restored.batch.tuples == block.to_tuples()
 
     def test_split_view_headers_travel_verbatim(self):
         # A split's prefix-derived header SIC cannot be recomputed from the
@@ -96,17 +100,6 @@ class TestMessageRoundTrip:
         block.values["v"][0] = -1.0
         assert list(restored.tuples) == before
         assert restored.tuples[0].timestamp != 999.0
-
-    def test_cross_backend_restore_renormalizes(self):
-        # Serialised under numpy, restored in a process running the list
-        # backend (and vice versa): values identical either way.
-        with use_backend("numpy"):
-            batch = Batch.from_block("q0", make_block(), created_at=0.0)
-            state = message_to_wire(ResultMessage("coord", batch))
-            expected = list(batch.tuples)
-        with use_backend("list"):
-            restored = message_from_wire(state)
-            assert list(restored.batch.tuples) == expected
 
     def test_control_message_round_trips(self):
         for message in (

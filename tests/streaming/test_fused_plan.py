@@ -7,7 +7,7 @@ touching state) and the fusion registry switches.
 
 import pytest
 
-from repro.core.columns import ColumnBlock, use_backend
+from repro.core.columns import ColumnBlock
 from repro.core.tuples import Batch, Tuple
 from repro.streaming.fused import (
     FUSION_MODES,
@@ -90,10 +90,6 @@ class TestFusionRegistry:
         with pytest.raises(ValueError):
             set_fusion("sometimes")
 
-    def test_list_backend_never_fuses(self):
-        with use_fusion("on"), use_backend("list"):
-            assert not fused_execution_active()
-
     def test_off_never_fuses(self):
         with use_fusion("off"):
             assert not fused_execution_active()
@@ -162,7 +158,7 @@ class TestPlanCompilation:
 
     def test_rewiring_invalidates_cached_plan(self):
         fragment = build_fragment()
-        with use_fusion("on"), use_backend("numpy"):
+        with use_fusion("on"):
             first = fragment._fused_plan()
             assert first is not None
             fragment.finalize()  # re-finalize: the cached plan must be rebuilt
@@ -207,7 +203,7 @@ class TestRunPrefixFallback:
             fragment = build_fragment(
                 filters=[Filter.field_threshold("v", ">=", 1.0)]
             )
-            with use_fusion(mode), use_backend("numpy"):
+            with use_fusion(mode):
                 block = source_block([0.0, 1.0, 2.0, 3.0])
                 plan = fragment._fused_plan()
                 if mode == "on":
